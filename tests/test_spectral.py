@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from conftest import random_graphs
 from geb.enumeration import enumerate_connected, enumerate_graphs
+from geb.graph6 import parse_graph6
 from geb.graphs import (
     Graph,
     complete,
@@ -120,6 +121,14 @@ def test_batch_agrees_with_single_calls():
     graphs = [petersen(), path(3), complete(2), cycle(6), Graph(4, 0), path(3)]
     batch = eigenvalues_batch(graphs)
     for g, spec in zip(graphs, batch):
+        assert spec == eigenvalues(g)
+
+
+def test_batch_spectra_equal_solo_solves(data_dir):
+    # a matrix's eigenvalues must not depend on which graphs share its batch
+    with open(data_dir / "connected8.g6", encoding="ascii") as fh:
+        graphs = [parse_graph6(line) for line, _ in zip(fh, range(300))]
+    for g, spec in zip(graphs, eigenvalues_batch(graphs)):
         assert spec == eigenvalues(g)
 
 
