@@ -2,13 +2,17 @@
 
 Each driver consumes an iterable of graphs, processes them in chunks (so
 eigenvalue solves batch across a chunk), and folds the per-chunk results
-into one CorpusSummary. Chunks may be farmed out to worker processes; the
-merge is commutative and the final lists are sorted, so the outcome is
-identical for any worker count and any chunk order.
+into one CorpusSummary. Every chunk goes through one loop that solves the
+chunk's spectra once and hands each (graph, spectrum, report) to the
+driver's visitor; verdicts read the slacks the report already holds.
+Chunks may be farmed out to worker processes; the merge is commutative and
+the final lists are sorted, so the outcome is identical for any worker
+count and any chunk order.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -28,7 +32,8 @@ EQUALITY_BOUNDS = ("cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lo
 _CHUNK_SIZE = 1024
 _GRUSS_IDENTITY_TOL = 1e-6
 
-_PROVEN_LOWER = ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound")
+_PROVEN = ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound",
+           "mcclelland_upper")
 
 
 @dataclass(frozen=True)
@@ -62,15 +67,19 @@ class CorpusSummary:
     equality_hits: list[EqualityHit] = field(default_factory=list)
     extremes: dict[str, Extreme] = field(default_factory=dict)
 
+    def note_extreme(self, name: str, graph6: str, slack: float) -> None:
+        """Keep the least slack per name; ties go to the smaller graph6."""
+        mine = self.extremes.get(name)
+        if mine is None or (slack, graph6) < (mine.slack, mine.graph6):
+            self.extremes[name] = Extreme(graph6, slack)
+
     def merge(self, other: "CorpusSummary") -> None:
         self.graphs_seen += other.graphs_seen
         self.graphs_skipped += other.graphs_skipped
         self.violations.extend(other.violations)
         self.equality_hits.extend(other.equality_hits)
         for name, ext in other.extremes.items():
-            mine = self.extremes.get(name)
-            if mine is None or (ext.slack, ext.graph6) < (mine.slack, mine.graph6):
-                self.extremes[name] = ext
+            self.note_extreme(name, ext.graph6, ext.slack)
 
     def finalize(self) -> "CorpusSummary":
         self.violations.sort(key=lambda v: (v.graph6, v.bound_name))
@@ -78,164 +87,119 @@ class CorpusSummary:
         return self
 
 
-def _note_extreme(summary: CorpusSummary, name: str, graph6: str, slack: float) -> None:
-    mine = summary.extremes.get(name)
-    if mine is None or (slack, graph6) < (mine.slack, mine.graph6):
-        summary.extremes[name] = Extreme(graph6, slack)
-
-
 def _g6(report: BoundReport) -> str:
     return report.graph6 if report.graph6 is not None else f"<n={report.n}>"
 
 
-def _reports(graphs: list[Graph], zero_tol: float) -> Iterator[tuple[Graph, BoundReport]]:
-    specs = eigenvalues_batch(graphs)
-    for g, spec in zip(graphs, specs):
-        yield g, bound_report(g, zero_tol, spectrum=spec)
+def _bound(summary: CorpusSummary, report: BoundReport, name: str, tol: float,
+           spec: Spectrum | None = None) -> float | None:
+    """Note one bound's slack as an extreme and flag it when below -tol.
+
+    Returns the slack, or None when the bound does not apply. A ``spec``
+    puts the spectrum into the violation's detail.
+    """
+    slack = getattr(report, "slack_" + name)
+    if slack is None:
+        return None
+    g6 = _g6(report)
+    if slack < -tol:
+        detail = None
+        if spec is not None:
+            detail = "spectrum=[" + ", ".join(f"{v:.12g}" for v in spec.values) + "]"
+        summary.violations.append(
+            Violation(g6, name, getattr(report, name), report.energy, detail)
+        )
+    summary.note_extreme(name, g6, slack)
+    return slack
 
 
-def _check_gruss_chain(
-    summary: CorpusSummary,
-    g: Graph,
-    spec: "Spectrum",
-    report: BoundReport,
-    zero_tol: float,
-) -> None:
+def _invariants(r: BoundReport) -> list[tuple[str, float, float, float, str]]:
+    """Cross-bound invariants of a graph with edges: (name, a, b, margin, detail).
+
+    An invariant holds when its margin is nonnegative; a and b are the values
+    it compares.
+    """
+    assert r.main is not None and r.cor_nice is not None and r.amgm is not None
+    rows = [
+        ("chain:main_ge_cor_nice", r.main, r.cor_nice, r.main - r.cor_nice,
+         "main fell below cor_nice"),
+        ("chain:amgm_le_main", r.amgm, r.main, r.main - r.amgm, "amgm exceeded main"),
+    ]
+    if r.rank_bound is not None:
+        rows.append(("chain:rank_ge_main", r.rank_bound, r.main, r.rank_bound - r.main,
+                     "rank_bound fell below main"))
+    if r.is_triangle_free:
+        rows.append(("dominance:triangle_free", r.cor_nice, r.caporossi,
+                     r.cor_nice - r.caporossi, "cor_nice fell below caporossi"))
+    if r.is_connected and r.is_regular:
+        rows.append(("regular:gutman", r.cor_nice, float(r.n), -abs(r.cor_nice - r.n),
+                     "cor_nice differs from n on a regular graph"))
+    if r.is_connected:
+        assert r.epsilon is not None and r.beta is not None
+        rows += [
+            ("irregularity:beta_ge_eps", r.beta, r.epsilon, r.beta - r.epsilon,
+             "beta fell below epsilon"),
+            ("irregularity:eps_ge_1", r.epsilon, 1.0, r.epsilon - 1.0, "epsilon fell below 1"),
+        ]
+    return rows
+
+
+def _check_gruss_chain(summary: CorpusSummary, g: Graph, spec: Spectrum, report: BoundReport,
+                       zero_tol: float) -> None:
     """Product-sum identity and chain soundness, full and rank-restricted."""
     stats = spectral_stats(spec, zero_tol)
     g6 = _g6(report)
     target = spec.energy * spec.energy - 2.0 * g.edge_count
-    for restricted in (False, True):
-        if restricted and stats.rank == 0:
-            continue
+    for suffix in ("", ":restricted") if stats.rank else ("",):
         try:
-            chain = energy_chain(spec, stats, restrict_to_nonzero=restricted)
+            chain = energy_chain(spec, stats, restrict_to_nonzero=bool(suffix))
         except InvariantViolation as exc:
             summary.violations.append(
-                Violation(g6, "gruss:chain" + (":restricted" if restricted else ""),
-                          float("nan"), spec.energy, str(exc))
+                Violation(g6, "gruss:chain" + suffix, float("nan"), spec.energy, str(exc))
             )
             continue
         if abs(chain.P - target) > _GRUSS_IDENTITY_TOL:
             summary.violations.append(
-                Violation(g6, "gruss:identity" + (":restricted" if restricted else ""),
-                          chain.P, target, "P != E^2 - 2m")
+                Violation(g6, "gruss:identity" + suffix, chain.P, target, "P != E^2 - 2m")
             )
 
 
-def _verify_chunk(graphs: list[Graph], tol: float, zero_tol: float) -> CorpusSummary:
+# Visitors: each gets (summary, graph, spectrum, report) plus its own settings.
+
+def _verify(summary, g, spec, report, tol: float, zero_tol: float) -> None:
+    for name in _PROVEN:
+        _bound(summary, report, name, tol)
+    if report.m >= 1:
+        for name, a, b, margin, detail in _invariants(report):
+            if margin < -tol:
+                summary.violations.append(Violation(_g6(report), name, a, b, detail))
+        _check_gruss_chain(summary, g, spec, report, zero_tol)
+
+
+def _conjectures(summary, g, spec, report, tol: float) -> None:
+    if not report.is_connected or report.m == 0:
+        summary.graphs_skipped += 1
+        return
+    _bound(summary, report, "conj1", tol, spec)
+    _bound(summary, report, "conj2", tol, spec)
+
+
+def _equality(summary, g, spec, report, bound: str, eps: float) -> None:
+    slack = _bound(summary, report, bound, math.inf)
+    if slack is None:
+        summary.graphs_skipped += 1
+    elif abs(slack) <= eps:
+        summary.equality_hits.append(
+            EqualityHit(_g6(report), bound, slack, is_complete_bipartite(g))
+        )
+
+
+def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> CorpusSummary:
+    """Solve the chunk's spectra in one batch and visit every graph once."""
     summary = CorpusSummary()
-    specs = eigenvalues_batch(graphs)
-    for g, spec in zip(graphs, specs):
-        report = bound_report(g, zero_tol, spectrum=spec)
+    for g, spec in zip(graphs, eigenvalues_batch(graphs)):
         summary.graphs_seen += 1
-        g6 = _g6(report)
-        energy = report.energy
-
-        for name in _PROVEN_LOWER:
-            value = getattr(report, name)
-            if value is None:
-                continue
-            if energy + tol < value:
-                summary.violations.append(Violation(g6, name, value, energy))
-            _note_extreme(summary, name, g6, energy - value)
-        if energy - tol > report.mcclelland_upper:
-            summary.violations.append(
-                Violation(g6, "mcclelland_upper", report.mcclelland_upper, energy)
-            )
-        _note_extreme(summary, "mcclelland_upper", g6, report.mcclelland_upper - energy)
-
-        if report.m >= 1:
-            assert report.main is not None and report.cor_nice is not None
-            if report.rank_bound is not None and report.rank_bound < report.main - tol:
-                summary.violations.append(
-                    Violation(g6, "chain:rank_ge_main", report.rank_bound, report.main,
-                              "rank_bound fell below main")
-                )
-            if report.main < report.cor_nice - tol:
-                summary.violations.append(
-                    Violation(g6, "chain:main_ge_cor_nice", report.main, report.cor_nice,
-                              "main fell below cor_nice")
-                )
-            if report.amgm is not None and report.amgm > report.main + tol:
-                summary.violations.append(
-                    Violation(g6, "chain:amgm_le_main", report.amgm, report.main,
-                              "amgm exceeded main")
-                )
-            if report.is_triangle_free and report.cor_nice < report.caporossi - tol:
-                summary.violations.append(
-                    Violation(g6, "dominance:triangle_free", report.cor_nice,
-                              report.caporossi, "cor_nice fell below caporossi")
-                )
-            if report.is_connected and report.is_regular:
-                if abs(report.cor_nice - report.n) > tol:
-                    summary.violations.append(
-                        Violation(g6, "regular:gutman", report.cor_nice, float(report.n),
-                                  "cor_nice differs from n on a regular graph")
-                    )
-            if report.is_connected:
-                assert report.epsilon is not None and report.beta is not None
-                if report.beta < report.epsilon - tol:
-                    summary.violations.append(
-                        Violation(g6, "irregularity:beta_ge_eps", report.beta,
-                                  report.epsilon, "beta fell below epsilon")
-                    )
-                if report.epsilon < 1.0 - tol:
-                    summary.violations.append(
-                        Violation(g6, "irregularity:eps_ge_1", report.epsilon, 1.0,
-                                  "epsilon fell below 1")
-                    )
-            _check_gruss_chain(summary, g, spec, report, zero_tol)
-    return summary
-
-
-def _conjectures_chunk(graphs: list[Graph], tol: float, zero_tol: float) -> CorpusSummary:
-    summary = CorpusSummary()
-    for g, report in _reports(graphs, zero_tol):
-        summary.graphs_seen += 1
-        if not report.is_connected or report.m == 0:
-            summary.graphs_skipped += 1
-            continue
-        assert report.conj1 is not None and report.conj2 is not None
-        g6 = _g6(report)
-        energy = report.energy
-        if energy < report.conj1 - tol:
-            summary.violations.append(
-                Violation(g6, "conj1", report.conj1, energy,
-                          f"spectrum={_spectrum_detail(g)}")
-            )
-        if energy > report.conj2 + tol:
-            summary.violations.append(
-                Violation(g6, "conj2", report.conj2, energy,
-                          f"spectrum={_spectrum_detail(g)}")
-            )
-        _note_extreme(summary, "conj1", g6, energy - report.conj1)
-        _note_extreme(summary, "conj2", g6, report.conj2 - energy)
-    return summary
-
-
-def _spectrum_detail(g: Graph) -> str:
-    spec = eigenvalues_batch([g])[0]
-    return "[" + ", ".join(f"{v:.12g}" for v in spec.values) + "]"
-
-
-def _equality_chunk(
-    graphs: list[Graph], bound: str, eps: float, zero_tol: float
-) -> CorpusSummary:
-    summary = CorpusSummary()
-    for g, report in _reports(graphs, zero_tol):
-        summary.graphs_seen += 1
-        value = getattr(report, bound)
-        if value is None:
-            summary.graphs_skipped += 1
-            continue
-        slack = report.energy - value
-        g6 = _g6(report)
-        if abs(slack) <= eps:
-            summary.equality_hits.append(
-                EqualityHit(g6, bound, slack, is_complete_bipartite(g))
-            )
-        _note_extreme(summary, bound, g6, slack)
+        visit(summary, g, spec, bound_report(g, zero_tol, spectrum=spec))
     return summary
 
 
@@ -251,18 +215,17 @@ def _chunked(graphs: Iterable[Graph], size: int) -> Iterator[list[Graph]]:
 
 
 def _run(
-    processor: Callable[[list[Graph]], CorpusSummary],
-    graphs: Iterable[Graph],
-    jobs: int,
+    visit: Callable[..., None], graphs: Iterable[Graph], zero_tol: float, jobs: int
 ) -> CorpusSummary:
+    process = partial(_chunk, visit, zero_tol)
     chunks = _chunked(graphs, _CHUNK_SIZE)
     summary = CorpusSummary()
     if jobs <= 1:
         for chunk in chunks:
-            summary.merge(processor(chunk))
+            summary.merge(process(chunk))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(processor, chunks):
+            for part in pool.map(process, chunks):
                 summary.merge(part)
     return summary.finalize()
 
@@ -274,7 +237,7 @@ def run_verify(
     jobs: int = 1,
 ) -> CorpusSummary:
     """Check every proven bound and cross-bound invariant on a corpus."""
-    return _run(partial(_verify_chunk, tol=tol, zero_tol=zero_tol), graphs, jobs)
+    return _run(partial(_verify, tol=tol, zero_tol=zero_tol), graphs, zero_tol, jobs)
 
 
 def run_conjectures(
@@ -288,7 +251,7 @@ def run_conjectures(
     Disconnected and edgeless graphs are gated out (counted as skipped):
     the conjectures are stated for connected graphs only.
     """
-    return _run(partial(_conjectures_chunk, tol=tol, zero_tol=zero_tol), graphs, jobs)
+    return _run(partial(_conjectures, tol=tol), graphs, zero_tol, jobs)
 
 
 def run_equality(
@@ -303,4 +266,4 @@ def run_equality(
         raise ValueError(
             f"unknown bound {bound!r}; choose one of {', '.join(EQUALITY_BOUNDS)}"
         )
-    return _run(partial(_equality_chunk, bound=bound, eps=eps, zero_tol=zero_tol), graphs, jobs)
+    return _run(partial(_equality, bound=bound, eps=eps), graphs, zero_tol, jobs)
