@@ -31,7 +31,7 @@ from .graphs import (
     is_regular,
     is_triangle_free,
 )
-from .graph6 import write_graph6, _MAX_SHORT_N
+from .graph6 import write_graph6
 from .spectral import (
     DEFAULT_ZERO_TOL,
     SpectralStats,
@@ -134,7 +134,7 @@ class BoundReport:
     means the bound held and near-zero slack means it is tight.
     """
 
-    graph6: str | None
+    graph6: str
     n: int
     m: int
     is_connected: bool
@@ -217,7 +217,7 @@ def bound_report(
         return None if bound is None else bound - energy
 
     return BoundReport(
-        graph6=write_graph6(g) if n <= _MAX_SHORT_N else None,
+        graph6=write_graph6(g),
         n=n,
         m=m,
         is_connected=connected,

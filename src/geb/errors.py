@@ -16,7 +16,7 @@ class SelfLoop(GebError, ValueError):
 
 
 class NTooLarge(GebError, ValueError):
-    """Requested vertex count is outside the supported 1..64 range."""
+    """Requested vertex count is outside the supported 1..62 range."""
 
 
 class CycleTooShort(GebError, ValueError):
@@ -43,10 +43,6 @@ class ByteOutOfRange(Graph6Error):
 
 class HeaderMismatch(Graph6Error):
     """A '>>' prefix is present but is not the '>>graph6<<' header."""
-
-
-class NTooLargeForSizeByte(Graph6Error):
-    """Graphs on more than 62 vertices need the long size encoding."""
 
 
 class CorpusDecodeError(Graph6Error):

@@ -17,13 +17,11 @@ from .errors import (
     CorpusDecodeError,
     Graph6Error,
     HeaderMismatch,
-    NTooLargeForSizeByte,
     TruncatedBits,
 )
-from .graphs import Graph, pair_count
+from .graphs import MAX_VERTICES, Graph, pair_count
 
 HEADER = ">>graph6<<"
-_MAX_SHORT_N = 62
 
 
 def parse_graph6(line: str) -> Graph:
@@ -38,8 +36,8 @@ def parse_graph6(line: str) -> Graph:
     size = ord(s[0]) - 63
     if size == 63:
         raise BadSizeByte("long size encoding (n >= 63) is not supported")
-    if not 1 <= size <= _MAX_SHORT_N:
-        raise BadSizeByte(f"size byte {s[0]!r} does not encode n in 1..{_MAX_SHORT_N}")
+    if not 1 <= size <= MAX_VERTICES:
+        raise BadSizeByte(f"size byte {s[0]!r} does not encode n in 1..{MAX_VERTICES}")
     payload = s[1:]
     need = (pair_count(size) + 5) // 6
     if len(payload) != need:
@@ -62,8 +60,6 @@ def parse_graph6(line: str) -> Graph:
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical short-form graph6 line (no header)."""
-    if g.n > _MAX_SHORT_N:
-        raise NTooLargeForSizeByte(f"short graph6 caps at n={_MAX_SHORT_N}, got {g.n}")
     out = [chr(63 + g.n)]
     nbits = pair_count(g.n)
     for start in range(0, nbits, 6):

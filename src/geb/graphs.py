@@ -1,10 +1,11 @@
 """Immutable small-graph representation, fixture families, and predicates.
 
-Graphs are simple and undirected on 1..64 vertices. The edge set is an
-upper-triangle bitset packed into one Python int: the unordered pair (i, j)
-with i < j occupies bit ``j*(j-1)//2 + i``. That is the column-by-column
-order used by the graph6 format, so encoding and decoding are straight bit
-copies. Isolated vertices are legal (n is stored separately from the bits).
+Graphs are simple and undirected on 1..62 vertices, the sizes graph6 can
+write. The edge set is an upper-triangle bitset packed into one Python int:
+the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``. That
+is the column-by-column order used by the graph6 format, so encoding and
+decoding are straight bit copies. Isolated vertices are legal (n is stored
+separately from the bits).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import CycleTooShort, NTooLarge, SelfLoop, VertexOutOfRange
 
-MAX_VERTICES = 64
+MAX_VERTICES = 62
 
 
 def pair_index(i: int, j: int) -> int:

@@ -87,10 +87,6 @@ class CorpusSummary:
         return self
 
 
-def _g6(report: BoundReport) -> str:
-    return report.graph6 if report.graph6 is not None else f"<n={report.n}>"
-
-
 def _bound(summary: CorpusSummary, report: BoundReport, name: str, tol: float,
            spec: Spectrum | None = None) -> float | None:
     """Note one bound's slack as an extreme and flag it when below -tol.
@@ -101,7 +97,7 @@ def _bound(summary: CorpusSummary, report: BoundReport, name: str, tol: float,
     slack = getattr(report, "slack_" + name)
     if slack is None:
         return None
-    g6 = _g6(report)
+    g6 = report.graph6
     if slack < -tol:
         detail = None
         if spec is not None:
@@ -148,7 +144,7 @@ def _check_gruss_chain(summary: CorpusSummary, g: Graph, spec: Spectrum, report:
                        zero_tol: float) -> None:
     """Product-sum identity and chain soundness, full and rank-restricted."""
     stats = spectral_stats(spec, zero_tol)
-    g6 = _g6(report)
+    g6 = report.graph6
     target = spec.energy * spec.energy - 2.0 * g.edge_count
     for suffix in ("", ":restricted") if stats.rank else ("",):
         try:
@@ -172,7 +168,7 @@ def _verify(summary, g, spec, report, tol: float, zero_tol: float) -> None:
     if report.m >= 1:
         for name, a, b, margin, detail in _invariants(report):
             if margin < -tol:
-                summary.violations.append(Violation(_g6(report), name, a, b, detail))
+                summary.violations.append(Violation(report.graph6, name, a, b, detail))
         _check_gruss_chain(summary, g, spec, report, zero_tol)
 
 
@@ -190,7 +186,7 @@ def _equality(summary, g, spec, report, bound: str, eps: float) -> None:
         summary.graphs_skipped += 1
     elif abs(slack) <= eps:
         summary.equality_hits.append(
-            EqualityHit(_g6(report), bound, slack, is_complete_bipartite(g))
+            EqualityHit(report.graph6, bound, slack, is_complete_bipartite(g))
         )
 
 

@@ -10,7 +10,7 @@ from geb.errors import (
     ByteOutOfRange,
     CorpusDecodeError,
     HeaderMismatch,
-    NTooLargeForSizeByte,
+    NTooLarge,
     TruncatedBits,
 )
 from geb.graphs import Graph, complete, from_edge_list
@@ -78,9 +78,10 @@ def test_parse_errors(line, exc):
 
 
 def test_write_rejects_large_graphs():
-    with pytest.raises(NTooLargeForSizeByte):
-        write_graph6(Graph(63, 0))
-    assert parse_graph6(write_graph6(Graph(62, 0))).n == 62
+    # a graph too large for the short size byte cannot be built at all
+    with pytest.raises(NTooLarge):
+        Graph(63, 0)
+    assert parse_graph6(write_graph6(complete(62))) == complete(62)
 
 
 @settings(max_examples=300)

@@ -64,10 +64,12 @@ def test_from_edge_list_rejects_bad_vertex():
 
 def test_vertex_count_limits():
     with pytest.raises(NTooLarge):
-        from_edge_list(65, [])
+        from_edge_list(63, [])
+    with pytest.raises(NTooLarge):
+        Graph(63, 0)
     with pytest.raises(NTooLarge):
         Graph(0, 0)
-    Graph(64, 0)  # boundary is fine
+    Graph(62, 0)  # boundary is fine: the largest n graph6 writes
 
 
 def test_graph_rejects_stray_bits():
