@@ -7,7 +7,8 @@ bound), ``enumerate`` (export one graph6 line per isomorphism class).
 
 Corpora are graph6 files, one graph per line; alternatively --enumerate N
 generates the connected graphs on N vertices in-process. Exit codes:
-0 clean, 1 violations or counterexamples found, 2 usage or input errors.
+0 clean, 1 violations or counterexamples found, 2 usage or input errors,
+141 (as if killed by SIGPIPE) when the reader of stdout goes away early.
 
 Environment: GEB_ZERO_TOL overrides the spectral zero threshold, GEB_TOL
 the soundness tolerance; explicit flags win over the environment.
@@ -42,6 +43,7 @@ from .spectral import DEFAULT_ZERO_TOL
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -142,9 +144,8 @@ def _corpus_source(args: argparse.Namespace, skips: _SkipCounter) -> Iterator[Gr
             raise _UsageError(f"--enumerate accepts 1..{MAX_ENUMERATION_N}")
         yield from enumerate_connected(args.enumerate)
         return
-    skip_bad = getattr(args, "skip_bad", False)
     with open(args.corpus, encoding="ascii", errors="strict") as fh:
-        for _lineno, g in stream_corpus(fh, skip_bad=skip_bad, on_bad=skips):
+        for _lineno, g in stream_corpus(fh, skip_bad=args.skip_bad, on_bad=skips):
             yield g
 
 
@@ -167,26 +168,18 @@ def _print_violations(summary: CorpusSummary) -> None:
         )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
+    """verify or conjectures; the runner is looked up at call time."""
+    run, label = {
+        "verify": (run_verify, "violations"),
+        "conjectures": (run_conjectures, "counterexamples"),
+    }[args.command]
     tol = _resolve(args.tol, "GEB_TOL", DEFAULT_TOL)
     zero_tol = _resolve(args.zero_tol, "GEB_ZERO_TOL", DEFAULT_ZERO_TOL)
     skips = _SkipCounter()
-    summary = run_verify(_corpus_source(args, skips), tol=tol, zero_tol=zero_tol, jobs=args.jobs)
+    summary = run(_corpus_source(args, skips), tol=tol, zero_tol=zero_tol, jobs=args.jobs)
     summary.graphs_skipped += skips.count
-    _print_summary(summary, "violations")
-    _print_violations(summary)
-    return EXIT_VIOLATIONS if summary.violations else EXIT_CLEAN
-
-
-def _cmd_conjectures(args: argparse.Namespace) -> int:
-    tol = _resolve(args.tol, "GEB_TOL", DEFAULT_TOL)
-    zero_tol = _resolve(args.zero_tol, "GEB_ZERO_TOL", DEFAULT_ZERO_TOL)
-    skips = _SkipCounter()
-    summary = run_conjectures(
-        _corpus_source(args, skips), tol=tol, zero_tol=zero_tol, jobs=args.jobs
-    )
-    summary.graphs_skipped += skips.count
-    _print_summary(summary, "counterexamples")
+    _print_summary(summary, label)
     _print_violations(summary)
     return EXIT_VIOLATIONS if summary.violations else EXIT_CLEAN
 
@@ -220,18 +213,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_CLEAN
 
 
-def _add_corpus_options(parser: argparse.ArgumentParser, with_skip_bad: bool = True) -> None:
+def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", metavar="FILE", help="graph6 file, one graph per line")
     source.add_argument(
         "--enumerate", type=int, metavar="N",
         help=f"use the connected graphs on N vertices (1..{MAX_ENUMERATION_N})",
     )
-    if with_skip_bad:
-        parser.add_argument(
-            "--skip-bad", action="store_true",
-            help="skip undecodable corpus lines instead of aborting",
-        )
+    parser.add_argument(
+        "--skip-bad", action="store_true",
+        help="skip undecodable corpus lines instead of aborting",
+    )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="K",
         help="worker processes for corpus processing (default 1)",
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, metavar="T",
         help=f"soundness tolerance (default {DEFAULT_TOL}, env GEB_TOL)",
     )
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_check)
 
     p_conj = sub.add_parser(
         "conjectures", help="check the conjectured bounds on connected corpus graphs"
@@ -275,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=None, metavar="T",
         help=f"comparison tolerance (default {DEFAULT_TOL}, env GEB_TOL)",
     )
-    p_conj.set_defaults(func=_cmd_conjectures)
+    p_conj.set_defaults(func=_cmd_check)
 
     p_eq = sub.add_parser("equality", help="list graphs where a bound is tight")
     p_eq.add_argument(
@@ -304,11 +296,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GebError as exc:

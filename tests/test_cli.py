@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+import geb.cli as cli
 from geb.cli import EXIT_CLEAN, EXIT_USAGE, EXIT_VIOLATIONS, main
 from geb.graphs import petersen
+from geb.harness import CorpusSummary
 
 
 def run(capsys, *argv):
@@ -295,3 +297,32 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["energy"] == pytest.approx(2.0)
+
+
+def test_closed_pipe_exits_quietly(data_dir):
+    # the reader takes one line and goes away while geb is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geb", "equality", "--bound", "main", "--eps", "100",
+         "--corpus", str(data_dir / "connected8.g6")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == ""
+    assert proc.returncode != EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["verify", "conjectures"])
+def test_check_commands_call_the_runner_in_the_module(capsys, monkeypatch, command):
+    calls = []
+
+    def fake(graphs, **kwargs):
+        calls.append(len(list(graphs)))
+        return CorpusSummary(graphs_seen=calls[-1])
+
+    monkeypatch.setattr(cli, f"run_{command}", fake)
+    code, out, _ = run(capsys, command, "--enumerate", "4")
+    assert code == EXIT_CLEAN
+    assert calls == [6]
+    assert "graphs seen: 6" in out
