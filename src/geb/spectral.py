@@ -47,7 +47,7 @@ class SpectralStats:
     """Scalars the energy bounds consume, derived from one Spectrum."""
 
     lambda1: float
-    t: float                 # min |eigenvalue|
+    t: float                 # min |eigenvalue|, exactly 0.0 when rank < n
     t_nz: float | None       # min |eigenvalue| above zero_tol, None if rank 0
     rank: int                # count of |eigenvalue| > zero_tol
     det: float               # floating eigenvalue product
@@ -149,13 +149,13 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
     """Extract lambda_1, t, t_nz, numerical rank, and the eigenproduct."""
     if zero_tol <= 0:
         raise ValueError("zero_tol must be positive")
-    absvals = [abs(v) for v in spec.values]
-    nonzero = [v for v in absvals if v > zero_tol]
+    nonzero = [abs(v) for v in spec.values if abs(v) > zero_tol]
     rank = len(nonzero)
+    t_nz = min(nonzero, default=None)
     return SpectralStats(
         lambda1=spec.values[0],
-        t=min(absvals),
-        t_nz=min(nonzero) if nonzero else None,
+        t=t_nz if rank == spec.n else 0.0,  # on singular spectra min abs is noise
+        t_nz=t_nz,
         rank=rank,
         det=float(math.prod(spec.values)),
         is_singular=rank < spec.n,

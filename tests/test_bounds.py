@@ -155,15 +155,22 @@ def test_report_complete_bipartite_is_tight():
     r = bound_report(complete_bipartite(2, 3))
     assert r.energy == approx(2 * SQRT6)
     assert r.cor_nice == approx(2 * SQRT6)
-    assert r.main == approx(2 * SQRT6)       # t = 0 here
+    assert r.main == r.cor_nice              # t = 0 here
     assert r.rank_bound == approx(2 * SQRT6)
-    # fp noise in t is sqrt-amplified here, so "collapses to zero" means ~1e-7
-    assert r.amgm == approx(0.0, tol=1e-6)
+    assert r.amgm == 0.0
     assert r.slack_cor_nice == approx(0.0)
     assert r.is_triangle_free and not r.is_regular
-    assert r.t == approx(0.0, tol=1e-12)
+    assert r.t == 0.0
     assert r.t_nz == approx(SQRT6)
     assert r.rank == 2
+
+
+def test_singular_graph_has_t_exactly_zero():
+    # the zero eigenvalue of P3 comes out as rounding noise; t must not be it
+    r = bound_report(path(3))
+    assert r.t == 0.0
+    assert r.amgm == 0.0
+    assert r.main == r.cor_nice
 
 
 def test_report_single_edge_everything_tight():
