@@ -213,9 +213,6 @@ def bound_report(
     def lo_slack(bound: float | None) -> float | None:
         return None if bound is None else energy - bound
 
-    def hi_slack(bound: float | None) -> float | None:
-        return None if bound is None else bound - energy
-
     return BoundReport(
         graph6=write_graph6(g),
         n=n,
@@ -248,5 +245,5 @@ def bound_report(
         slack_rank_bound=lo_slack(rank_b),
         slack_conj1=lo_slack(c1),
         slack_mcclelland_upper=mc_hi - energy,
-        slack_conj2=hi_slack(c2),
+        slack_conj2=None if c2 is None else c2 - energy,
     )

@@ -185,11 +185,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_equality(args: argparse.Namespace) -> int:
-    eps = args.eps if args.eps is not None else DEFAULT_EQUALITY_EPS
     zero_tol = _resolve(args.zero_tol, "GEB_ZERO_TOL", DEFAULT_ZERO_TOL)
     skips = _SkipCounter()
     summary = run_equality(
-        _corpus_source(args, skips), bound=args.bound, eps=eps,
+        _corpus_source(args, skips), bound=args.bound, eps=args.eps,
         zero_tol=zero_tol, jobs=args.jobs,
     )
     summary.graphs_skipped += skips.count
@@ -251,23 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--zero-tol", type=float, default=None, metavar="T")
     p_report.set_defaults(func=_cmd_report)
 
-    p_verify = sub.add_parser("verify", help="check every proven bound over a corpus")
-    _add_corpus_options(p_verify)
-    p_verify.add_argument(
-        "--tol", type=float, default=None, metavar="T",
-        help=f"soundness tolerance (default {DEFAULT_TOL}, env GEB_TOL)",
-    )
-    p_verify.set_defaults(func=_cmd_check)
-
-    p_conj = sub.add_parser(
-        "conjectures", help="check the conjectured bounds on connected corpus graphs"
-    )
-    _add_corpus_options(p_conj)
-    p_conj.add_argument(
-        "--tol", type=float, default=None, metavar="T",
-        help=f"comparison tolerance (default {DEFAULT_TOL}, env GEB_TOL)",
-    )
-    p_conj.set_defaults(func=_cmd_check)
+    for name, help_text, tol_kind in (
+        ("verify", "check every proven bound over a corpus", "soundness"),
+        ("conjectures", "check the conjectured bounds on connected corpus graphs",
+         "comparison"),
+    ):
+        p_check = sub.add_parser(name, help=help_text)
+        _add_corpus_options(p_check)
+        p_check.add_argument(
+            "--tol", type=float, default=None, metavar="T",
+            help=f"{tol_kind} tolerance (default {DEFAULT_TOL}, env GEB_TOL)",
+        )
+        p_check.set_defaults(func=_cmd_check)
 
     p_eq = sub.add_parser("equality", help="list graphs where a bound is tight")
     p_eq.add_argument(
@@ -276,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_options(p_eq)
     p_eq.add_argument(
-        "--eps", type=float, default=None, metavar="E",
+        "--eps", type=float, default=DEFAULT_EQUALITY_EPS, metavar="E",
         help=f"equality tolerance on |E - bound| (default {DEFAULT_EQUALITY_EPS})",
     )
     p_eq.set_defaults(func=_cmd_equality)

@@ -2,12 +2,11 @@
 
 Each driver consumes an iterable of graphs, processes them in chunks (so
 eigenvalue solves batch across a chunk), and folds the per-chunk results
-into one CorpusSummary. Every chunk goes through one loop that solves the
-chunk's spectra once and hands each (graph, spectrum, report) to the
-driver's visitor; verdicts read the slacks the report already holds.
-Chunks may be farmed out to worker processes; the merge is commutative and
-the final lists are sorted, so the outcome is identical for any worker
-count and any chunk order.
+into one CorpusSummary. One chunk loop serves every driver; verdicts read
+the slacks each graph's BoundReport already holds. Chunks may be farmed
+out to worker processes; the merge is commutative and the final lists are
+sorted, so the outcome is identical for any worker count and any chunk
+order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable
 
 from .bounds import BoundReport, bound_report
 from .errors import InvariantViolation
@@ -97,15 +97,14 @@ def _bound(summary: CorpusSummary, report: BoundReport, name: str, tol: float,
     slack = getattr(report, "slack_" + name)
     if slack is None:
         return None
-    g6 = report.graph6
     if slack < -tol:
         detail = None
         if spec is not None:
             detail = "spectrum=[" + ", ".join(f"{v:.12g}" for v in spec.values) + "]"
         summary.violations.append(
-            Violation(g6, name, getattr(report, name), report.energy, detail)
+            Violation(report.graph6, name, getattr(report, name), report.energy, detail)
         )
-    summary.note_extreme(name, g6, slack)
+    summary.note_extreme(name, report.graph6, slack)
     return slack
 
 
@@ -199,22 +198,12 @@ def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> 
     return summary
 
 
-def _chunked(graphs: Iterable[Graph], size: int) -> Iterator[list[Graph]]:
-    buf: list[Graph] = []
-    for g in graphs:
-        buf.append(g)
-        if len(buf) >= size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
-
-
 def _run(
     visit: Callable[..., None], graphs: Iterable[Graph], zero_tol: float, jobs: int
 ) -> CorpusSummary:
     process = partial(_chunk, visit, zero_tol)
-    chunks = _chunked(graphs, _CHUNK_SIZE)
+    source = iter(graphs)
+    chunks = iter(lambda: list(islice(source, _CHUNK_SIZE)), [])
     summary = CorpusSummary()
     if jobs <= 1:
         for chunk in chunks:
