@@ -91,12 +91,24 @@ def test_round_trip(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_graphs(max_n=20))
+@given(random_graphs(max_n=62))
 def test_encoding_matches_networkx(g):
     nx = pytest.importorskip("networkx")
     ref = nx.from_graph6_bytes(write_graph6(g).encode("ascii"))
     assert {tuple(sorted(e)) for e in ref.edges} == set(g.edges())
     assert ref.number_of_nodes() == g.n
+
+
+def test_fixture_lines_re_encode_to_themselves(data_dir):
+    lines = (data_dir / "connected8.g6").read_text(encoding="ascii").split()
+    assert len(lines) == 11117
+    assert [write_graph6(parse_graph6(line)) for line in lines] == lines
+
+
+@pytest.mark.parametrize("text", ["Bx", "B~"])
+def test_set_padding_bits_are_ignored(text):
+    # n=3 fills 3 of the 6 payload bits; the other 3 are padding
+    assert parse_graph6(text) == complete(3)
 
 
 def test_stream_corpus_in_order():
