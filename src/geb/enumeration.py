@@ -18,14 +18,15 @@ is exactly one canonical representative per isomorphism class.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator
 
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import Graph, pair_count, pairs_in_order
+from .graphs import Graph, degree_sequence, msb_first, pair_count, pairs_in_order
 
 MAX_CANONICAL_N = 10
 MAX_ENUMERATION_N = 7
@@ -74,11 +75,7 @@ def _iter_block_perms(blocks: list[range]) -> Iterator[tuple[int, ...]]:
 
 
 def _block_perm_count(blocks: list[range]) -> int:
-    count = 1
-    for b in blocks:
-        for k in range(2, len(b) + 1):
-            count *= k
-    return count
+    return math.prod(math.factorial(len(b)) for b in blocks)
 
 
 def _pair_table(perms: np.ndarray, n: int) -> np.ndarray:
@@ -87,14 +84,10 @@ def _pair_table(perms: np.ndarray, n: int) -> np.ndarray:
     Row a, column k says which pair of the original labeling lands on pair
     k = (i, j) after relabeling by perms[a]: the pair {perms[a,i], perms[a,j]}.
     """
-    cols = []
-    for i, j in pairs_in_order(n):
-        pi = perms[:, i]
-        pj = perms[:, j]
-        lo = np.minimum(pi, pj)
-        hi = np.maximum(pi, pj)
-        cols.append(hi * (hi - 1) // 2 + lo)
-    return np.stack(cols, axis=1)
+    i, j = np.array(pairs_in_order(n)).T
+    lo = np.minimum(perms[:, i], perms[:, j])
+    hi = np.maximum(perms[:, i], perms[:, j])
+    return hi * (hi - 1) // 2 + lo
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -108,26 +101,19 @@ def canonical_form(g: Graph) -> CanonicalForm:
     if length == 0:
         return CanonicalForm(1, _pack_bits(1, 0))
 
-    degrees = [m.bit_count() for m in g.neighbor_masks()]
+    degrees = degree_sequence(g)
     order = sorted(range(n), key=degrees.__getitem__)
-    base = np.zeros(length, dtype=np.int64)
-    for k, (i, j) in enumerate(pairs_in_order(n)):
-        if g.has_edge(order[i], order[j]):
-            base[k] = 1
+    masks = g.neighbor_masks()
+    base = np.array([masks[order[i]] >> order[j] & 1 for i, j in pairs_in_order(n)],
+                    dtype=np.int64)
 
     blocks = _degree_blocks([degrees[v] for v in order])
     weights = (np.int64(1) << np.arange(length - 1, -1, -1, dtype=np.int64))
-    best = None
+    best = 1 << length  # above every packed value
     perm_iter = _iter_block_perms(blocks)
-    while True:
-        slab = list(itertools.islice(perm_iter, _PERM_SLAB))
-        if not slab:
-            break
+    for slab in iter(lambda: list(itertools.islice(perm_iter, _PERM_SLAB)), []):
         table = _pair_table(np.array(slab, dtype=np.int64), n)
-        packed = (base[table] * weights[None, :]).sum(axis=1)
-        low = int(packed.min())
-        best = low if best is None else min(best, low)
-    assert best is not None
+        best = min(best, int((base[table] * weights[None, :]).sum(axis=1).min()))
     return CanonicalForm(n, _pack_bits(n, best))
 
 
@@ -216,13 +202,7 @@ def _sieve(n: int, connected: bool) -> list[Graph]:
         survivors = _canonical_survivors(vals, key, n)
         found.extend(int(v) for v in survivors)
 
-    def packed(mask: int) -> int:
-        out = 0
-        for k in range(length):
-            out |= ((mask >> k) & 1) << (length - 1 - k)
-        return out
-
-    found.sort(key=packed)
+    found.sort(key=partial(msb_first, n))
     return [Graph(n, mask) for mask in found]
 
 

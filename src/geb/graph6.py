@@ -19,7 +19,7 @@ from .errors import (
     HeaderMismatch,
     TruncatedBits,
 )
-from .graphs import MAX_VERTICES, Graph, pair_count
+from .graphs import MAX_VERTICES, Graph, msb_first, pair_count
 
 HEADER = ">>graph6<<"
 
@@ -44,31 +44,23 @@ def parse_graph6(line: str) -> Graph:
         raise TruncatedBits(
             f"n={size} needs {need} payload bytes, got {len(payload)}"
         )
-    adj = 0
-    bit = 0
+    bits = 0
     for ch in payload:
         v = ord(ch) - 63
         if not 0 <= v <= 63:
             raise ByteOutOfRange(f"payload byte {ch!r} outside graph6 range")
-        for k in range(5, -1, -1):  # most significant bit first
-            if v >> k & 1:
-                adj |= 1 << bit
-            bit += 1
-    adj &= (1 << pair_count(size)) - 1  # padding bits ignored
-    return Graph(size, adj)
+        bits = bits << 6 | v
+    padding = 6 * need - pair_count(size)  # padding bits ignored
+    return Graph(size, msb_first(size, bits >> padding))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as a canonical short-form graph6 line (no header)."""
-    out = [chr(63 + g.n)]
-    nbits = pair_count(g.n)
-    for start in range(0, nbits, 6):
-        v = 0
-        for k in range(6):
-            if start + k < nbits and g.adj >> (start + k) & 1:
-                v |= 1 << (5 - k)
-        out.append(chr(63 + v))
-    return "".join(out)
+    nbytes = (pair_count(g.n) + 5) // 6
+    bits = msb_first(g.n, g.adj) << (6 * nbytes - pair_count(g.n))
+    return chr(63 + g.n) + "".join(
+        chr(63 + (bits >> 6 * k & 63)) for k in range(nbytes - 1, -1, -1)
+    )
 
 
 def stream_corpus(

@@ -2,18 +2,18 @@
 
 Graphs are simple and undirected on 1..62 vertices, the sizes graph6 can
 write. The edge set is an upper-triangle bitset packed into one Python int:
-the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``. That
-is the column-by-column order used by the graph6 format, so encoding and
-decoding are straight bit copies. Isolated vertices are legal (n is stored
-separately from the bits).
+the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``, the
+column-by-column order of the graph6 format. Isolated vertices are legal (n
+is stored separately from the bits). Only this module decodes the bitset,
+once per graph: ``edges`` and ``neighbor_masks`` read one memoized scan.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Iterable
 
 from .errors import CycleTooShort, NTooLarge, SelfLoop, VertexOutOfRange
 
@@ -31,9 +31,20 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def pairs_in_order(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def pairs_in_order(n: int) -> tuple[tuple[int, int], ...]:
     """All unordered pairs in bitset order: (0,1), (0,2), (1,2), (0,3), ..."""
-    return [(i, j) for j in range(n) for i in range(j)]
+    return tuple((i, j) for j in range(n) for i in range(j))
+
+
+def msb_first(n: int, bits: int) -> int:
+    """Reverse the C(n,2) pair bits of ``bits`` < 2**C(n,2); its own inverse.
+
+    Pair 0 becomes the most significant bit, as graph6 and canonical forms
+    order them.
+    """
+    length = pair_count(n)
+    return int(f"{bits:0{length}b}"[::-1], 2) if length else 0
 
 
 @dataclass(frozen=True)
@@ -58,17 +69,32 @@ class Graph:
             return False
         return bool(self.adj >> pair_index(i, j) & 1)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [p for k, p in enumerate(pairs_in_order(self.n)) if self.adj >> k & 1]
+    @cached_property
+    def _structure(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        return _decode(self)
 
-    def neighbor_masks(self) -> list[int]:
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edges (i, j) with i < j, in bitset order."""
+        return self._structure[0]
+
+    def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor sets as n-bit ints."""
-        masks = [0] * self.n
-        for k, (i, j) in enumerate(pairs_in_order(self.n)):
-            if self.adj >> k & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-        return masks
+        return self._structure[1]
+
+
+def _decode(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The one scan of a bitset: edges in bitset order and neighbor masks."""
+    masks = [0] * g.n
+    edges = []
+    for j in range(1, g.n):
+        col = g.adj >> pair_index(0, j) & ((1 << j) - 1)  # neighbors i < j
+        masks[j] = col
+        while col:
+            i = (col & -col).bit_length() - 1
+            col &= col - 1
+            masks[i] |= 1 << j
+            edges.append((i, j))
+    return tuple(edges), tuple(masks)
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -149,10 +175,7 @@ def is_connected(g: Graph) -> bool:
 def triangle_count(g: Graph) -> int:
     """Number of triangles, via neighbor-set intersections over edges."""
     masks = g.neighbor_masks()
-    total = 0
-    for i, j in g.edges():
-        total += (masks[i] & masks[j]).bit_count()
-    return total // 3
+    return sum((masks[i] & masks[j]).bit_count() for i, j in g.edges()) // 3
 
 
 def is_triangle_free(g: Graph) -> bool:

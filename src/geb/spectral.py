@@ -55,11 +55,16 @@ class SpectralStats:
     zero_tol: float
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
+def _rows(g: Graph) -> list[list[int]]:
+    """The 0/1 adjacency matrix as lists of Python ints."""
+    rows = [[0] * g.n for _ in range(g.n)]
     for i, j in g.edges():
-        a[i, j] = a[j, i] = 1.0
-    return a
+        rows[i][j] = rows[j][i] = 1
+    return rows
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return np.array(_rows(g), dtype=float)
 
 
 def _adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
@@ -166,9 +171,7 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
 def determinant_exact(g: Graph) -> int:
     """Exact adjacency determinant by fraction-free Bareiss elimination."""
     n = g.n
-    a = [[0] * n for _ in range(n)]
-    for i, j in g.edges():
-        a[i][j] = a[j][i] = 1
+    a = _rows(g)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -197,9 +200,7 @@ def integer_rank(g: Graph) -> int:
     integers small; no inexact division ever happens.
     """
     n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for i, j in g.edges():
-        rows[i][j] = rows[j][i] = 1
+    rows = _rows(g)
     rank = 0
     for col in range(n):
         pivot = next((r for r in range(rank, n) if rows[r][col] != 0), -1)

@@ -1,6 +1,7 @@
 """Graph construction, fixture families, and combinatorial predicates."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,8 @@ from geb.graphs import (
     is_connected,
     is_regular,
     is_triangle_free,
+    msb_first,
+    pair_count,
     path,
     petersen,
     triangle_count,
@@ -193,3 +196,22 @@ def test_graph_is_immutable():
     g = complete(3)
     with pytest.raises(Exception):
         g.n = 5  # frozen dataclass
+
+
+def test_msb_first_is_its_own_inverse():
+    rng = random.Random(3)
+    for n in range(1, 63):
+        length = pair_count(n)
+        for bits in (0, (1 << length) - 1, 1, rng.getrandbits(length)):
+            bits &= (1 << length) - 1
+            assert msb_first(n, msb_first(n, bits)) == bits
+        if length:
+            assert msb_first(n, 1) == 1 << (length - 1)  # pair (0, 1) goes first
+
+
+def test_structure_is_decoded_once_and_shared():
+    g = petersen()
+    assert g.edges() is g.edges()
+    assert g.neighbor_masks() is g.neighbor_masks()
+    assert isinstance(g.edges(), tuple) and isinstance(g.neighbor_masks(), tuple)
+    assert list(g.edges()) == sorted(g.edges(), key=lambda e: (e[1], e[0]))

@@ -2,9 +2,12 @@
 
 import pytest
 
+from geb.bounds import bound_report
 from geb.enumeration import canonical_form, enumerate_connected
 from geb.graph6 import parse_graph6
-from geb.graphs import Graph, complete, complete_bipartite, cycle, from_edge_list, path
+from geb.graphs import (
+    Graph, complete, complete_bipartite, cycle, from_edge_list, path, petersen,
+)
 from geb.harness import (
     EQUALITY_BOUNDS,
     CorpusSummary,
@@ -14,6 +17,7 @@ from geb.harness import (
     run_equality,
     run_verify,
 )
+import geb.graphs as graphs
 import geb.harness as harness
 
 
@@ -215,3 +219,18 @@ def test_result_is_input_order_independent(monkeypatch):
     forward = run_verify(corpus)
     backward = run_verify(list(reversed(corpus)))
     assert summaries_equal(forward, backward)
+
+
+def test_each_graph_is_decoded_once(monkeypatch):
+    decoded = []
+    decode = graphs._decode
+    monkeypatch.setattr(graphs, "_decode", lambda g: decoded.append(id(g)) or decode(g))
+
+    g = Graph(10, petersen().adj)  # a fresh graph: nothing decoded yet
+    bound_report(g)
+    assert decoded == [id(g)]
+
+    decoded.clear()
+    fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
+    run_verify(fresh)
+    assert sorted(decoded) == sorted(id(h) for h in fresh)
