@@ -225,7 +225,7 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="K",
-        help="worker processes for corpus processing (default 1)",
+        help="worker processes for corpus processing, at most the CPU count (default 1)",
     )
     parser.add_argument(
         "--zero-tol", type=float, default=None, metavar="T",

@@ -12,7 +12,8 @@ order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -169,7 +170,8 @@ def _verify(summary, g, spec, report, tol: float, zero_tol: float) -> None:
         for name, a, b, margin, detail in _invariants(report):
             if margin < -tol:
                 summary.violations.append(Violation(report.graph6, name, a, b, detail))
-        _check_gruss_chain(summary, g, spec, report, zero_tol)
+        if report.energy > zero_tol:  # the chain is undefined below the zero threshold
+            _check_gruss_chain(summary, g, spec, report, zero_tol)
 
 
 def _conjectures(summary, g, spec, report, tol: float) -> None:
@@ -202,17 +204,25 @@ def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> 
 def _run(
     visit: Callable[..., None], graphs: Iterable[Graph], zero_tol: float, jobs: int
 ) -> CorpusSummary:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
     process = partial(_chunk, visit, zero_tol)
     source = iter(graphs)
     chunks = iter(lambda: list(islice(source, _CHUNK_SIZE)), [])
     summary = CorpusSummary()
-    if jobs <= 1:
+    if workers == 1:
         for chunk in chunks:
             summary.merge(process(chunk))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(process, chunks):
-                summary.merge(part)
+        # two chunks per worker in flight at most, so memory stays bounded
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = {pool.submit(process, chunk) for chunk in islice(chunks, 2 * workers)}
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    summary.merge(future.result())
+                    pending.update(pool.submit(process, chunk) for chunk in islice(chunks, 1))
     return summary.finalize()
 
 

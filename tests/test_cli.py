@@ -262,6 +262,22 @@ def test_enumerate_out_of_range(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "--enumerate", "3", "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
+def test_zero_tol_above_the_energy_skips_the_chain(capsys):
+    # every graph on 4 vertices has energy below 100: the energy chain is undefined
+    code, out, err = run(capsys, "verify", "--enumerate", "4", "--zero-tol", "100")
+    assert code == EXIT_CLEAN
+    assert out.startswith("graphs seen: 6\ngraphs skipped: 0\nviolations: 0\n")
+    assert err == ""
+
+
 # --- environment variables ------------------------------------------------------------
 
 

@@ -1,5 +1,9 @@
 """Corpus drivers: summaries, gating, parallel determinism."""
 
+import itertools
+import os
+from concurrent.futures import Executor, Future
+
 import pytest
 
 from geb.bounds import bound_report
@@ -234,3 +238,65 @@ def test_each_graph_is_decoded_once(monkeypatch):
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
     run_verify(fresh)
     assert sorted(decoded) == sorted(id(h) for h in fresh)
+
+
+# --- worker pool -----------------------------------------------------------------
+
+
+def inline_pool(monkeypatch, cpus):
+    """Stand in for the process pool: run each task at submit, start no process.
+
+    Returns the list of ``max_workers`` values the pool was built with.
+    """
+    sizes = []
+
+    class InlinePool(Executor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, /, *args, **kwargs):
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_verify(small_corpus(), jobs=jobs)
+
+
+def test_workers_are_capped_at_the_cpu_count(monkeypatch):
+    sizes = inline_pool(monkeypatch, cpus=3)
+    capped = run_verify(small_corpus(), jobs=100_000)
+    assert sizes == [3]
+    assert summaries_equal(capped, run_verify(small_corpus()))
+
+
+def test_pool_pulls_a_bounded_window_of_chunks(monkeypatch):
+    monkeypatch.setattr(harness, "_CHUNK_SIZE", 16)
+    inline_pool(monkeypatch, cpus=2)
+    pulled = 0
+
+    def corpus():
+        nonlocal pulled
+        for g in itertools.islice(itertools.cycle(small_corpus()), 400):
+            pulled += 1
+            yield g
+
+    at_first_merge = []
+    merge = CorpusSummary.merge
+
+    def noting_merge(self, other):
+        if not at_first_merge:
+            at_first_merge.append(pulled)
+        merge(self, other)
+
+    monkeypatch.setattr(CorpusSummary, "merge", noting_merge)
+    summary = run_verify(corpus(), jobs=2)
+    assert at_first_merge[0] <= (2 * 2 + 1) * 16  # two chunks in flight per worker
+    assert pulled == summary.graphs_seen == 400
