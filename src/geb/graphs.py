@@ -84,16 +84,18 @@ class Graph:
 
 def _decode(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The one scan of a bitset: edges in bitset order and neighbor masks."""
+    pairs = pairs_in_order(g.n)
     masks = [0] * g.n
     edges = []
     for j in range(1, g.n):
-        col = g.adj >> pair_index(0, j) & ((1 << j) - 1)  # neighbors i < j
+        start = pair_index(0, j)
+        col = g.adj >> start & ((1 << j) - 1)  # neighbors i < j
         masks[j] = col
         while col:
             i = (col & -col).bit_length() - 1
             col &= col - 1
             masks[i] |= 1 << j
-            edges.append((i, j))
+            edges.append(pairs[start + i])  # a shared tuple: the memo keeps a pointer
     return tuple(edges), tuple(masks)
 
 
