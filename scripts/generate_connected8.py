@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate tests/data/connected8.g6: all connected 8-vertex graphs.
 
-Runs the same exhaustive sieve the library uses for n <= 7, which is kept
-off the public API at n = 8 because the 2^28-mask sweep takes minutes.
-Output is one graph6 line per isomorphism class in canonical order.
+Extends the 853 connected classes on 7 vertices by one vertex, the same
+construction the library uses for n <= 7, one size past the public API's
+cap. It takes a few seconds. Output is one graph6 line per isomorphism
+class in canonical order.
 
 Usage: python scripts/generate_connected8.py [OUT]
 """
@@ -12,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from geb.enumeration import _sieve
+from geb.enumeration import _classes
 from geb.graph6 import write_graph6
 
 
@@ -21,7 +22,7 @@ def main() -> int:
         Path(__file__).resolve().parent.parent / "tests" / "data" / "connected8.g6"
     )
     start = time.perf_counter()
-    graphs = _sieve(8, connected=True)
+    graphs = _classes(8, connected=True)
     elapsed = time.perf_counter() - start
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="ascii") as fh:

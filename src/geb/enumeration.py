@@ -8,32 +8,35 @@ isomorphic exactly when these bit strings agree: any isomorphism between two
 degree-sorted labelings must map each degree block onto itself, so the block
 permutations reach every degree-sorted labeling of the class.
 
-Generation works as a sieve over all 2^C(n,2) adjacency bit masks, done in
-numpy chunks: keep masks whose labeling is already degree-sorted, optionally
-keep only connected ones, then within each degree-sequence group kill every
-mask that some block permutation maps to a smaller bit string. What survives
-is exactly one canonical representative per isomorphism class.
+Generation builds the classes on n vertices from those on n - 1 (McKay 1998,
+*J. Algorithms* 26): each representative gains one new vertex in every way,
+one candidate per neighbourhood of the new vertex, and the candidates are
+kept once per canonical form. This is complete because deleting the last
+vertex of any graph leaves a graph isomorphic to some representative. For
+connected graphs only the connected classes are extended, and only by
+nonempty neighbourhoods: every connected graph on n >= 2 vertices has a
+vertex whose removal leaves it connected (a leaf of a spanning tree), and
+the new vertex needs a neighbour to keep the graph connected. Each class is
+represented by its canonical labeling, and classes come in ascending order
+of the canonical bit string.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import Graph, degree_sequence, msb_first, pair_count, pairs_in_order
+from .graphs import Graph, msb_first, pair_count, pairs_in_order
 
 MAX_CANONICAL_N = 10
 MAX_ENUMERATION_N = 7
 
-_PERM_SLAB = 100_000
-_SIEVE_PERM_SLAB = 4096
-_MASK_CHUNK = 1 << 20
+_PERM_SLAB = 10_000  # bitsets x permutations relabeled per numpy step
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ def _pack_bits(n: int, value: int) -> bytes:
     return (value << (8 * nbytes - length)).to_bytes(nbytes, "big")
 
 
-def _degree_blocks(degrees: list[int]) -> list[range]:
+def _degree_blocks(degrees: Sequence[int]) -> list[range]:
     """Contiguous runs of equal degree in an ascending degree list."""
     blocks = []
     start = 0
@@ -67,27 +70,43 @@ def _degree_blocks(degrees: list[int]) -> list[range]:
     return blocks
 
 
-def _iter_block_perms(blocks: list[range]) -> Iterator[tuple[int, ...]]:
-    """All vertex permutations fixing each block setwise (new -> old)."""
-    per_block = [itertools.permutations(b) for b in blocks]
-    for combo in itertools.product(*per_block):
-        yield tuple(itertools.chain.from_iterable(combo))
+def _iter_block_perms(blocks: Sequence[range]) -> Iterator[tuple[int, ...]]:
+    """All vertex permutations fixing each block setwise (new -> old), lazily."""
+    if len(blocks) == 1:
+        yield from itertools.permutations(blocks[0])
+        return
+    for head in itertools.permutations(blocks[0]):
+        for tail in _iter_block_perms(blocks[1:]):
+            yield head + tail
 
 
-def _block_perm_count(blocks: list[range]) -> int:
-    return math.prod(math.factorial(len(b)) for b in blocks)
+def _degree_sorted(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Ascending degrees, and the bitset relabeled so vertex i has the i-th."""
+    order = sorted(range(len(masks)), key=lambda v: masks[v].bit_count())
+    bits = 0
+    for k, (i, j) in enumerate(pairs_in_order(len(masks))):
+        bits |= (masks[order[j]] >> order[i] & 1) << k
+    return tuple(masks[v].bit_count() for v in order), bits
 
 
-def _pair_table(perms: np.ndarray, n: int) -> np.ndarray:
-    """Map vertex permutations (K, n) to source pair indices (K, L).
-
-    Row a, column k says which pair of the original labeling lands on pair
-    k = (i, j) after relabeling by perms[a]: the pair {perms[a,i], perms[a,j]}.
-    """
+def _least_relabelings(n: int, degrees: tuple[int, ...], bitsets: list[int]) -> list[int]:
+    """Least MSB-first bit string of each degree-sorted bitset (all with these
+    ascending ``degrees``) over the permutations inside each degree block."""
+    length = pair_count(n)
     i, j = np.array(pairs_in_order(n)).T
-    lo = np.minimum(perms[:, i], perms[:, j])
-    hi = np.maximum(perms[:, i], perms[:, j])
-    return hi * (hi - 1) // 2 + lo
+    bits = np.array(bitsets, dtype=np.int64)[:, None] >> np.arange(length) & 1
+    adj = np.zeros((len(bitsets), n, n), dtype=np.int64)
+    adj[:, i, j] = adj[:, j, i] = bits
+    best = np.full(len(bitsets), 1 << length, dtype=np.int64)  # above every value
+    perms = _iter_block_perms(_degree_blocks(degrees))
+    slab = max(1, _PERM_SLAB // len(bitsets))
+    for chunk in iter(lambda: list(itertools.islice(perms, slab)), []):
+        p = np.array(chunk, dtype=np.int64).T
+        packed = np.zeros((len(bitsets), len(chunk)), dtype=np.int64)
+        for k in range(length):  # pair k = (i, j) after relabeling is (p[i], p[j]) before
+            packed |= adj[:, p[i[k]], p[j[k]]] << (length - 1 - k)
+        np.minimum(best, packed.min(axis=1), out=best)
+    return best.tolist()
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -97,138 +116,44 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise NTooLargeForCanonicalization(
             f"canonical form supports at most {MAX_CANONICAL_N} vertices, got {n}"
         )
-    length = pair_count(n)
-    if length == 0:
-        return CanonicalForm(1, _pack_bits(1, 0))
-
-    degrees = degree_sequence(g)
-    order = sorted(range(n), key=degrees.__getitem__)
-    masks = g.neighbor_masks()
-    base = np.array([masks[order[i]] >> order[j] & 1 for i, j in pairs_in_order(n)],
-                    dtype=np.int64)
-
-    blocks = _degree_blocks([degrees[v] for v in order])
-    weights = (np.int64(1) << np.arange(length - 1, -1, -1, dtype=np.int64))
-    best = 1 << length  # above every packed value
-    perm_iter = _iter_block_perms(blocks)
-    for slab in iter(lambda: list(itertools.islice(perm_iter, _PERM_SLAB)), []):
-        table = _pair_table(np.array(slab, dtype=np.int64), n)
-        best = min(best, int((base[table] * weights[None, :]).sum(axis=1).min()))
-    return CanonicalForm(n, _pack_bits(n, best))
-
-
-def _chunk_degrees(masks: np.ndarray, n: int) -> np.ndarray:
-    degs = np.zeros((masks.size, n), dtype=np.int16)
-    for k, (i, j) in enumerate(pairs_in_order(n)):
-        bit = ((masks >> k) & 1).astype(np.int16)
-        degs[:, i] += bit
-        degs[:, j] += bit
-    return degs
-
-
-def _connected_filter(masks: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of which adjacency masks describe connected graphs."""
-    nbrs = [np.zeros(masks.shape, dtype=np.int64) for _ in range(n)]
-    for k, (i, j) in enumerate(pairs_in_order(n)):
-        bit = (masks >> k) & 1
-        nbrs[i] |= bit << j
-        nbrs[j] |= bit << i
-    reach = np.ones(masks.shape, dtype=np.int64)
-    for _ in range(n):
-        for v in range(n):
-            reach |= nbrs[v] * ((reach >> v) & 1)
-    return reach == (1 << n) - 1
-
-
-def _canonical_survivors(vals: np.ndarray, degree_seq: tuple[int, ...], n: int) -> np.ndarray:
-    """Keep exactly the class-minimal masks of one degree-sequence group."""
-    length = pair_count(n)
-    blocks = _degree_blocks(list(degree_seq))
-    total = _block_perm_count(blocks)
-    weights = (np.int64(1) << np.arange(length - 1, -1, -1, dtype=np.int64))
-
-    packed_id = np.zeros(vals.shape, dtype=np.int64)
-    for k in range(length):
-        packed_id |= ((vals >> k) & 1) << (length - 1 - k)
-
-    alive_vals = vals
-    alive_packed = packed_id
-    perm_iter = _iter_block_perms(blocks)
-    slab_size = min(_SIEVE_PERM_SLAB, total)
-    while alive_vals.size:
-        slab = list(itertools.islice(perm_iter, slab_size))
-        if not slab:
-            break
-        table = _pair_table(np.array(slab, dtype=np.int64), n)
-        member_chunk = max(1, 4_000_000 // len(slab))
-        keep_parts = []
-        for lo in range(0, alive_vals.size, member_chunk):
-            part = alive_vals[lo:lo + member_chunk]
-            acc = np.zeros((len(slab), part.size), dtype=np.int64)
-            for k in range(length):
-                acc |= ((part[None, :] >> table[:, k, None]) & 1) << (length - 1 - k)
-            keep_parts.append((acc >= alive_packed[lo:lo + member_chunk][None, :]).all(axis=0))
-        keep = np.concatenate(keep_parts)
-        alive_vals = alive_vals[keep]
-        alive_packed = alive_packed[keep]
-    return alive_vals
-
-
-def _sieve(n: int, connected: bool) -> list[Graph]:
-    """One canonical representative per isomorphism class on n vertices."""
     if n == 1:
-        return [Graph(1, 0)]
-    length = pair_count(n)
-    groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-    for start in range(0, 1 << length, _MASK_CHUNK):
-        masks = np.arange(start, min(start + _MASK_CHUNK, 1 << length), dtype=np.int64)
-        degs = _chunk_degrees(masks, n)
-        ascending = (degs[:, 1:] >= degs[:, :-1]).all(axis=1)
-        masks = masks[ascending]
-        degs = degs[ascending]
-        if connected and masks.size:
-            good = _connected_filter(masks, n)
-            masks = masks[good]
-            degs = degs[good]
-        if not masks.size:
-            continue
-        keys, inverse = np.unique(degs, axis=0, return_inverse=True)
-        for row, key in enumerate(keys):
-            groups.setdefault(tuple(int(d) for d in key), []).append(masks[inverse == row])
+        return CanonicalForm(1, _pack_bits(1, 0))
+    degrees, bits = _degree_sorted(g.neighbor_masks())
+    return CanonicalForm(n, _pack_bits(n, _least_relabelings(n, degrees, [bits])[0]))
 
-    found: list[int] = []
-    for key in sorted(groups):
-        vals = np.concatenate(groups[key])
-        survivors = _canonical_survivors(vals, key, n)
-        found.extend(int(v) for v in survivors)
 
-    found.sort(key=partial(msb_first, n))
-    return [Graph(n, mask) for mask in found]
+@lru_cache(maxsize=None)
+def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
+    """One canonically labeled representative per class on n vertices."""
+    if n == 1:
+        return (Graph(1, 0),)
+    new = n - 1
+    groups: dict[tuple[int, ...], set[int]] = {}
+    for rep in _classes(new, connected):
+        masks = rep.neighbor_masks()
+        for nbrs in range(1 if connected else 0, 1 << new):
+            ext = [m | (nbrs >> v & 1) << new for v, m in enumerate(masks)] + [nbrs]
+            degrees, bits = _degree_sorted(ext)
+            groups.setdefault(degrees, set()).add(bits)
+    found = {best for degrees, members in groups.items()
+             for best in _least_relabelings(n, degrees, list(members))}
+    return tuple(Graph(n, msb_first(n, best)) for best in sorted(found))
 
 
 def enumerate_graphs(n: int, connected: bool = True) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism, canonically labeled.
+    """All graphs on n vertices up to isomorphism, canonically labeled (cached).
 
     Representatives come back sorted by their canonical bit string. The
-    exhaustive sweep is only practical for small n; above
+    exhaustive construction is only practical for small n; above
     ``MAX_ENUMERATION_N`` this refuses to run.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise NTooLargeForEnumeration(
             f"enumeration supports 1..{MAX_ENUMERATION_N} vertices, got {n}"
         )
-    return _sieve(n, connected)
-
-
-@lru_cache(maxsize=None)
-def _connected_cache(n: int) -> tuple[Graph, ...]:
-    return tuple(enumerate_graphs(n, connected=True))
+    return list(_classes(n, connected))
 
 
 def enumerate_connected(n: int) -> list[Graph]:
     """All connected graphs on n vertices up to isomorphism (cached)."""
-    if not 1 <= n <= MAX_ENUMERATION_N:
-        raise NTooLargeForEnumeration(
-            f"enumeration supports 1..{MAX_ENUMERATION_N} vertices, got {n}"
-        )
-    return list(_connected_cache(n))
+    return enumerate_graphs(n, connected=True)
