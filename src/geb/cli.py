@@ -144,7 +144,7 @@ def _corpus_source(args: argparse.Namespace, skips: _SkipCounter) -> Iterator[Gr
             raise _UsageError(f"--enumerate accepts 1..{MAX_ENUMERATION_N}")
         yield from enumerate_connected(args.enumerate)
         return
-    with open(args.corpus, encoding="ascii", errors="strict") as fh:
+    with open(args.corpus, encoding="ascii", errors="surrogateescape") as fh:
         for _lineno, g in stream_corpus(fh, skip_bad=args.skip_bad, on_bad=skips):
             yield g
 

@@ -81,7 +81,7 @@ def _iter_block_perms(blocks: Sequence[range]) -> Iterator[tuple[int, ...]]:
 
 
 def _degree_sorted(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Ascending degrees, and the bitset relabeled so vertex i has the i-th."""
+    """Ascending degrees, and the bitset after relabeling vertices in that order."""
     order = sorted(range(len(masks)), key=lambda v: masks[v].bit_count())
     bits = 0
     for k, (i, j) in enumerate(pairs_in_order(len(masks))):

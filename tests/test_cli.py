@@ -148,22 +148,32 @@ def test_verify_corpus_file(capsys, tmp_path):
     assert "graphs seen: 3" in out
 
 
-def test_verify_corrupt_corpus_aborts_with_line_number(capsys, tmp_path):
+# A bad second line, and the size byte the error names: printable junk, or
+# bytes that are not ASCII at all (decoded to a lone surrogate).
+BAD_LINES = pytest.mark.parametrize(
+    "bad,size_byte", [(b"*junk*", "'*'"), (b"\xc3\xa9x", "'\\udcc3'")], ids=["junk", "non_ascii"]
+)
+
+
+@BAD_LINES
+def test_verify_corrupt_corpus_aborts_with_line_number(capsys, tmp_path, bad, size_byte):
     f = tmp_path / "c.g6"
-    f.write_text("A_\n*junk*\nBw\n")
-    code, _, err = run(capsys, "verify", "--corpus", str(f))
+    f.write_bytes(b"A_\n" + bad + b"\nBw\n")
+    code, out, err = run(capsys, "verify", "--corpus", str(f))
     assert code == EXIT_USAGE
-    assert "line 2" in err
+    assert out == ""
+    assert err == f"error: line 2: size byte {size_byte} does not encode n in 1..62\n"
 
 
-def test_verify_skip_bad_continues(capsys, tmp_path):
+@BAD_LINES
+def test_verify_skip_bad_continues(capsys, tmp_path, bad, size_byte):
     f = tmp_path / "c.g6"
-    f.write_text("A_\n*junk*\nBw\n")
+    f.write_bytes(b"A_\n" + bad + b"\nBw\n")
     code, out, err = run(capsys, "verify", "--corpus", str(f), "--skip-bad")
     assert code == EXIT_CLEAN
     assert "graphs seen: 2" in out
     assert "graphs skipped: 1" in out
-    assert "skipping line 2" in err
+    assert err == f"skipping line 2: size byte {size_byte} does not encode n in 1..62\n"
 
 
 def test_verify_missing_corpus_file(capsys, tmp_path):

@@ -6,8 +6,12 @@ n <= 5 the two pipelines must produce identical isomorphism classes, not
 just identical counts.
 """
 
+import importlib.util
 import itertools
 import random
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +31,13 @@ from geb.graphs import (
 from geb.graph6 import write_graph6
 from geb.enumeration import (
     CanonicalForm,
+    _iter_block_perms,
     canonical_form,
     enumerate_connected,
     enumerate_graphs,
 )
+
+GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_connected8.py"
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -78,6 +85,36 @@ def test_connected_counts(n, count):
 @pytest.mark.parametrize("n,count", sorted(ALL_COUNTS.items()))
 def test_all_graph_counts(n, count):
     assert len(enumerate_graphs(n, connected=False)) == count
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connected_recursion_matches_filtered_full_recursion(n):
+    # the two lists come from different recursions: connected classes are
+    # extended only from connected classes, by nonempty neighbourhoods
+    connected = enumerate_graphs(n, connected=True)
+    assert connected == [g for g in enumerate_graphs(n, connected=False) if is_connected(g)]
+
+
+def test_fixture_generator_rebuilds_connected8(data_dir, tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("generate_connected8", GENERATOR)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "connected8.g6"
+    monkeypatch.setattr(sys, "argv", [str(GENERATOR), str(out)])
+    assert script.main() == 0
+    assert out.read_bytes() == (data_dir / "connected8.g6").read_bytes()
+    assert capsys.readouterr().out.startswith("11117 connected graphs on 8 vertices")
+
+
+def test_block_permutations_are_generated_lazily():
+    tracemalloc.start()
+    try:
+        first = next(_iter_block_perms([range(9)]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(9))
+    assert peak < 1 << 20  # all 9! permutations would take tens of MB
 
 
 def test_enumerate_rejects_out_of_range():
