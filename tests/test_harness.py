@@ -21,6 +21,7 @@ from geb.harness import (
     run_equality,
     run_verify,
 )
+from geb.spectral import Spectrum
 import geb.graphs as graphs
 import geb.harness as harness
 
@@ -238,6 +239,21 @@ def test_each_graph_is_decoded_once(monkeypatch):
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
     run_verify(fresh)
     assert sorted(decoded) == sorted(id(h) for h in fresh)
+
+
+@pytest.mark.parametrize("shift,names", [
+    (0.5, ["gruss:chain", "gruss:chain:restricted"]),        # P falls below P_lower
+    (-0.5, ["gruss:identity", "gruss:identity:restricted"]),  # P != E^2 - 2m
+])
+def test_gruss_violations_are_reported(monkeypatch, shift, names):
+    solve = harness.eigenvalues_batch
+
+    def shifted(graphs):
+        return [Spectrum(s.values, s.energy + shift) for s in solve(graphs)]
+
+    monkeypatch.setattr(harness, "eigenvalues_batch", shifted)
+    summary = run_verify([path(4)])
+    assert [v.bound_name for v in summary.violations if v.bound_name.startswith("gruss:")] == names
 
 
 # --- worker pool -----------------------------------------------------------------
