@@ -35,7 +35,6 @@ from .graph6 import write_graph6
 from .spectral import (
     DEFAULT_ZERO_TOL,
     SpectralStats,
-    Spectrum,
     determinant_exact,
     eigenvalues,
     spectral_stats,
@@ -179,20 +178,20 @@ class BoundReport:
 def bound_report(
     g: Graph,
     zero_tol: float = DEFAULT_ZERO_TOL,
-    spectrum: Spectrum | None = None,
+    stats: SpectralStats | None = None,
 ) -> BoundReport:
     """Evaluate every bound on one graph.
 
-    ``spectrum`` lets corpus drivers reuse a batch-computed spectrum
-    instead of re-solving per graph.
+    Corpus drivers pass the ``stats`` of a batch-solved spectrum, ``zero_tol``
+    already applied; without them the graph is solved here.
     """
-    spec = spectrum if spectrum is not None else eigenvalues(g)
-    stats = spectral_stats(spec, zero_tol)
+    if stats is None:
+        stats = spectral_stats(eigenvalues(g), zero_tol)
     n = g.n
     m = g.edge_count
     connected = is_connected(g)
     det_abs = abs(determinant_exact(g))
-    energy = spec.energy
+    energy = stats.energy
 
     mc_lo = mcclelland_lower(n, m, det_abs)
     mc_hi = mcclelland_upper(n, m)

@@ -133,26 +133,25 @@ def energy_chain(
     stats: SpectralStats,
     restrict_to_nonzero: bool = False,
 ) -> EnergyChain:
-    """Build the pairwise-product chain from a spectrum.
+    """Build the pairwise-product chain from a spectrum and its stats.
 
     x holds the absolute eigenvalues (descending) with certified bounds
     [t, lambda1]; y = E - x with bounds [E - lambda1, E - t]. The x mean is
-    E/k by construction. With ``restrict_to_nonzero`` both vectors drop the
-    numerically-zero eigenvalues, k becomes the rank, and t becomes the
-    least nonzero absolute eigenvalue, which tightens everything on
-    singular graphs.
+    E/k by construction. With ``restrict_to_nonzero`` both vectors keep only
+    the first ``stats.rank`` absolute values, the ones above the zero
+    threshold: k becomes the rank, and t becomes the least nonzero absolute
+    eigenvalue, which tightens everything on singular graphs.
     """
-    energy = spec.energy
+    energy = stats.energy
     if energy <= stats.zero_tol:
         raise EmptyGraph("the energy chain needs at least one edge")
 
     absvals = sorted((abs(v) for v in spec.values), reverse=True)
     if restrict_to_nonzero:
-        absvals = [v for v in absvals if v > stats.zero_tol]
-        if not absvals:
+        if not stats.rank:
             raise ZeroRank("no eigenvalues above the zero threshold")
+        absvals = absvals[:stats.rank]
         small = stats.t_nz
-        assert small is not None
     else:
         small = stats.t
     k = len(absvals)

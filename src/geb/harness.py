@@ -2,11 +2,11 @@
 
 Each driver consumes an iterable of graphs, processes them in chunks (so
 eigenvalue solves batch across a chunk), and folds the per-chunk results
-into one CorpusSummary. One chunk loop serves every driver; verdicts read
-the slacks each graph's BoundReport already holds. Chunks may be farmed
-out to worker processes; the merge is commutative and the final lists are
-sorted, so the outcome is identical for any worker count and any chunk
-order.
+into one CorpusSummary. One chunk loop serves every driver: it derives each
+graph's SpectralStats once, and the BoundReport, the Grüss check and the
+verdicts all read that record. Chunks may be farmed out to worker
+processes; the merge is commutative and the final lists are sorted, so the
+outcome is identical for any worker count and any chunk order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .bounds import BoundReport, bound_report
 from .errors import InvariantViolation
 from .graphs import Graph, is_complete_bipartite
 from .gruss import energy_chain
-from .spectral import DEFAULT_ZERO_TOL, Spectrum, eigenvalues_batch, spectral_stats
+from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum, eigenvalues_batch,
+                       spectral_stats)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EQUALITY_EPS = 1e-7
@@ -140,19 +141,18 @@ def _invariants(r: BoundReport) -> list[tuple[str, float, float, float, str]]:
     return rows
 
 
-def _check_gruss_chain(summary: CorpusSummary, g: Graph, spec: Spectrum, report: BoundReport,
-                       zero_tol: float) -> None:
+def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, stats: SpectralStats,
+                       report: BoundReport) -> None:
     """Product-sum identity and chain soundness, full and rank-restricted."""
-    stats = spectral_stats(spec, zero_tol)
     g6 = report.graph6
-    target = spec.energy * spec.energy - 2.0 * g.edge_count
+    target = stats.energy * stats.energy - 2.0 * report.m
     for restricted in (False, True) if stats.rank else (False,):
         suffix = ":restricted" if restricted else ""
         try:
             chain = energy_chain(spec, stats, restrict_to_nonzero=restricted)
         except InvariantViolation as exc:
             summary.violations.append(
-                Violation(g6, "gruss:chain" + suffix, float("nan"), spec.energy, str(exc))
+                Violation(g6, "gruss:chain" + suffix, float("nan"), stats.energy, str(exc))
             )
             continue
         if abs(chain.P - target) > _GRUSS_IDENTITY_TOL:
@@ -161,28 +161,28 @@ def _check_gruss_chain(summary: CorpusSummary, g: Graph, spec: Spectrum, report:
             )
 
 
-# Visitors: each gets (summary, graph, spectrum, report) plus its own settings.
+# Visitors: each gets (summary, graph, spectrum, stats, report) plus its own settings.
 
-def _verify(summary, g, spec, report, tol: float, zero_tol: float) -> None:
+def _verify(summary, g, spec, stats, report, tol: float) -> None:
     for name in _PROVEN:
         _bound(summary, report, name, tol)
     if report.m >= 1:
         for name, a, b, margin, detail in _invariants(report):
             if margin < -tol:
                 summary.violations.append(Violation(report.graph6, name, a, b, detail))
-        if report.energy > zero_tol:  # the chain is undefined below the zero threshold
-            _check_gruss_chain(summary, g, spec, report, zero_tol)
+        if stats.energy > stats.zero_tol:  # the chain is undefined below the zero threshold
+            _check_gruss_chain(summary, spec, stats, report)
 
 
-def _conjectures(summary, g, spec, report, tol: float) -> None:
-    if not report.is_connected or report.m == 0:
+def _conjectures(summary, g, spec, stats, report, tol: float) -> None:
+    # bound_report leaves both conjectures None off connected graphs with edges
+    if _bound(summary, report, "conj1", tol, spec) is None:
         summary.graphs_skipped += 1
         return
-    _bound(summary, report, "conj1", tol, spec)
     _bound(summary, report, "conj2", tol, spec)
 
 
-def _equality(summary, g, spec, report, bound: str, eps: float) -> None:
+def _equality(summary, g, spec, stats, report, bound: str, eps: float) -> None:
     slack = _bound(summary, report, bound, math.inf)  # a scan: nothing is a violation
     if slack is None:
         summary.graphs_skipped += 1
@@ -197,7 +197,8 @@ def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> 
     summary = CorpusSummary()
     for g, spec in zip(graphs, eigenvalues_batch(graphs)):
         summary.graphs_seen += 1
-        visit(summary, g, spec, bound_report(g, zero_tol, spectrum=spec))
+        stats = spectral_stats(spec, zero_tol)
+        visit(summary, g, spec, stats, bound_report(g, stats=stats))
     return summary
 
 
@@ -233,7 +234,7 @@ def run_verify(
     jobs: int = 1,
 ) -> CorpusSummary:
     """Check every proven bound and cross-bound invariant on a corpus."""
-    return _run(partial(_verify, tol=tol, zero_tol=zero_tol), graphs, zero_tol, jobs)
+    return _run(partial(_verify, tol=tol), graphs, zero_tol, jobs)
 
 
 def run_conjectures(

@@ -44,15 +44,15 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralStats:
-    """Scalars the energy bounds consume, derived from one Spectrum."""
+    """The scalars every bound and the Grüss chain read, derived once per Spectrum."""
 
+    energy: float            # the Spectrum's energy
     lambda1: float
     t: float                 # min |eigenvalue|, exactly 0.0 when rank < n
     t_nz: float | None       # min |eigenvalue| above zero_tol, None if rank 0
     rank: int                # count of |eigenvalue| > zero_tol
     det: float               # floating eigenvalue product
-    is_singular: bool
-    zero_tol: float
+    zero_tol: float          # decided rank, t and t_nz; nothing downstream re-tests it
 
 
 def _rows(g: Graph) -> list[list[int]]:
@@ -151,19 +151,19 @@ def eigenvalues(g: Graph) -> Spectrum:
 
 
 def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralStats:
-    """Extract lambda_1, t, t_nz, numerical rank, and the eigenproduct."""
+    """Extract E, lambda_1, t, t_nz, numerical rank, and the eigenproduct."""
     if zero_tol <= 0:
         raise ValueError("zero_tol must be positive")
     nonzero = [abs(v) for v in spec.values if abs(v) > zero_tol]
     rank = len(nonzero)
     t_nz = min(nonzero, default=None)
     return SpectralStats(
+        energy=spec.energy,
         lambda1=spec.values[0],
         t=t_nz if rank == spec.n else 0.0,  # on singular spectra min abs is noise
         t_nz=t_nz,
         rank=rank,
         det=float(math.prod(spec.values)),
-        is_singular=rank < spec.n,
         zero_tol=zero_tol,
     )
 

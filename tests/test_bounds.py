@@ -234,7 +234,7 @@ def test_report_slack_arithmetic():
 
 def test_report_accepts_precomputed_spectrum():
     g = cycle(6)
-    assert bound_report(g, spectrum=eigenvalues(g)) == bound_report(g)
+    assert bound_report(g, stats=spectral_stats(eigenvalues(g))) == bound_report(g)
 
 
 def test_report_field_order_matches_header():

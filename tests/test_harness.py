@@ -2,6 +2,7 @@
 
 import itertools
 import os
+from functools import partial
 from concurrent.futures import Executor, Future
 
 import pytest
@@ -22,6 +23,7 @@ from geb.harness import (
     run_verify,
 )
 from geb.spectral import Spectrum
+import geb.bounds as bounds
 import geb.graphs as graphs
 import geb.harness as harness
 
@@ -235,10 +237,25 @@ def test_each_graph_is_decoded_once(monkeypatch):
     bound_report(g)
     assert decoded == [id(g)]
 
+    fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]  # may decode its own graphs
     decoded.clear()
-    fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
     run_verify(fresh)
     assert sorted(decoded) == sorted(id(h) for h in fresh)
+
+
+@pytest.mark.parametrize("run", [run_verify, run_conjectures, partial(run_equality, bound="main")],
+                         ids=["verify", "conjectures", "equality"])
+def test_each_graph_derives_its_spectral_stats_once(monkeypatch, run):
+    fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
+    calls = []
+
+    def counting(derive):
+        return lambda *args: calls.append(args[0]) or derive(*args)
+
+    for module in (harness, bounds):
+        monkeypatch.setattr(module, "spectral_stats", counting(module.spectral_stats))
+    run(fresh)
+    assert len(calls) == len(fresh)
 
 
 @pytest.mark.parametrize("shift,names", [

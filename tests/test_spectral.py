@@ -174,7 +174,7 @@ def test_stats_path_three():
     assert close(st.t, 0.0, tol=1e-12)
     assert st.t_nz is not None and close(st.t_nz, SQRT2)
     assert st.rank == 2
-    assert st.is_singular
+    assert st.rank < 3
     assert close(st.det, 0.0, tol=1e-12)
     assert st.zero_tol == DEFAULT_ZERO_TOL
 
@@ -185,7 +185,7 @@ def test_stats_complete_four():
     assert close(st.t, 1.0)
     assert close(st.t_nz, 1.0)
     assert st.rank == 4
-    assert not st.is_singular
+    assert not st.rank < 4
     assert close(st.det, -3.0, tol=1e-8)
 
 
@@ -202,7 +202,7 @@ def test_stats_empty_graph_has_rank_zero():
     assert st.rank == 0
     assert st.t_nz is None
     assert st.lambda1 == 0.0
-    assert st.is_singular
+    assert st.rank < 3
 
 
 def test_stats_zero_tol_validation():
@@ -217,7 +217,7 @@ def test_stats_huge_zero_tol_zeroes_rank():
     st = spectral_stats(eigenvalues(complete(3)), zero_tol=100.0)
     assert st.rank == 0
     assert st.t_nz is None
-    assert st.is_singular
+    assert st.rank < 3
 
 
 # --- exact integer companions ----------------------------------------------
