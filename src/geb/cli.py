@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Iterable, Iterator
@@ -50,14 +51,25 @@ class _UsageError(Exception):
     pass
 
 
+def _number(text: str) -> float:
+    """Parse a tolerance. inf is allowed; NaN is not, since no slack compares below it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
+
+
 def _env_float(name: str) -> float | None:
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return None
     try:
-        return float(raw)
-    except ValueError:
-        raise _UsageError(f"environment variable {name} is not a number: {raw!r}")
+        return _number(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"environment variable {name} is {exc}")
 
 
 def _resolve(flag_value: float | None, env_name: str, default: float) -> float:
@@ -228,7 +240,7 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
         help="worker processes for corpus processing, at most the CPU count (default 1)",
     )
     parser.add_argument(
-        "--zero-tol", type=float, default=None, metavar="T",
+        "--zero-tol", type=_number, default=None, metavar="T",
         help=f"spectral zero threshold (default {DEFAULT_ZERO_TOL}, env GEB_ZERO_TOL)",
     )
 
@@ -247,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "table", "csv"), default="json",
         help="output format (default json)",
     )
-    p_report.add_argument("--zero-tol", type=float, default=None, metavar="T")
+    p_report.add_argument("--zero-tol", type=_number, default=None, metavar="T")
     p_report.set_defaults(func=_cmd_report)
 
     for name, help_text, tol_kind in (
@@ -258,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_check = sub.add_parser(name, help=help_text)
         _add_corpus_options(p_check)
         p_check.add_argument(
-            "--tol", type=float, default=None, metavar="T",
+            "--tol", type=_number, default=None, metavar="T",
             help=f"{tol_kind} tolerance (default {DEFAULT_TOL}, env GEB_TOL)",
         )
         p_check.set_defaults(func=_cmd_check)
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_corpus_options(p_eq)
     p_eq.add_argument(
-        "--eps", type=float, default=DEFAULT_EQUALITY_EPS, metavar="E",
+        "--eps", type=_number, default=DEFAULT_EQUALITY_EPS, metavar="E",
         help=f"equality tolerance on |E - bound| (default {DEFAULT_EQUALITY_EPS})",
     )
     p_eq.set_defaults(func=_cmd_equality)

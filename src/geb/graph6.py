@@ -83,12 +83,10 @@ def stream_corpus(
             continue
         try:
             if line.startswith(">>") and lineno > 1:
-                raise CorpusDecodeError(lineno, "header allowed on the first line only")
+                raise Graph6Error("header allowed on the first line only")
             yield lineno, parse_graph6(line)
         except Graph6Error as exc:
             if not skip_bad:
-                if isinstance(exc, CorpusDecodeError):
-                    raise
                 raise CorpusDecodeError(lineno, str(exc)) from exc
             if on_bad is not None:
                 on_bad(lineno, exc)

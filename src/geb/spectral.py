@@ -152,7 +152,7 @@ def eigenvalues(g: Graph) -> Spectrum:
 
 def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralStats:
     """Extract E, lambda_1, t, t_nz, numerical rank, and the eigenproduct."""
-    if zero_tol <= 0:
+    if not zero_tol > 0:  # also refuses NaN
         raise ValueError("zero_tol must be positive")
     nonzero = [abs(v) for v in spec.values if abs(v) > zero_tol]
     rank = len(nonzero)

@@ -148,32 +148,38 @@ def test_verify_corpus_file(capsys, tmp_path):
     assert "graphs seen: 3" in out
 
 
-# A bad second line, and the size byte the error names: printable junk, or
-# bytes that are not ASCII at all (decoded to a lone surrogate).
+# A bad second line and the error it gives: printable junk, bytes that are not
+# ASCII at all (decoded to a lone surrogate), or a header past the first line.
 BAD_LINES = pytest.mark.parametrize(
-    "bad,size_byte", [(b"*junk*", "'*'"), (b"\xc3\xa9x", "'\\udcc3'")], ids=["junk", "non_ascii"]
+    "bad,message",
+    [
+        (b"*junk*", "size byte '*' does not encode n in 1..62"),
+        (b"\xc3\xa9x", "size byte '\\udcc3' does not encode n in 1..62"),
+        (b">>graph6<<Bw", "header allowed on the first line only"),
+    ],
+    ids=["junk", "non_ascii", "header"],
 )
 
 
 @BAD_LINES
-def test_verify_corrupt_corpus_aborts_with_line_number(capsys, tmp_path, bad, size_byte):
+def test_verify_corrupt_corpus_aborts_with_line_number(capsys, tmp_path, bad, message):
     f = tmp_path / "c.g6"
     f.write_bytes(b"A_\n" + bad + b"\nBw\n")
     code, out, err = run(capsys, "verify", "--corpus", str(f))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == f"error: line 2: size byte {size_byte} does not encode n in 1..62\n"
+    assert err == f"error: line 2: {message}\n"
 
 
 @BAD_LINES
-def test_verify_skip_bad_continues(capsys, tmp_path, bad, size_byte):
+def test_verify_skip_bad_continues(capsys, tmp_path, bad, message):
     f = tmp_path / "c.g6"
     f.write_bytes(b"A_\n" + bad + b"\nBw\n")
     code, out, err = run(capsys, "verify", "--corpus", str(f), "--skip-bad")
     assert code == EXIT_CLEAN
     assert "graphs seen: 2" in out
     assert "graphs skipped: 1" in out
-    assert err == f"skipping line 2: size byte {size_byte} does not encode n in 1..62\n"
+    assert err == f"skipping line 2: {message}\n"
 
 
 def test_verify_missing_corpus_file(capsys, tmp_path):
@@ -286,6 +292,38 @@ def test_zero_tol_above_the_energy_skips_the_chain(capsys):
     assert code == EXIT_CLEAN
     assert out.startswith("graphs seen: 6\ngraphs skipped: 0\nviolations: 0\n")
     assert err == ""
+
+
+# --- NaN and infinite tolerances -------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,env,name", [
+    (["verify", "--enumerate", "5", "--tol", "nan"], None, "--tol"),
+    (["conjectures", "--enumerate", "5", "--zero-tol", "nan"], None, "--zero-tol"),
+    (["report", "Bw", "--zero-tol", "nan"], None, "--zero-tol"),
+    (["equality", "--bound", "main", "--enumerate", "4", "--eps", "nan"], None, "--eps"),
+    (["conjectures", "--enumerate", "5"], "GEB_TOL", "GEB_TOL"),
+    (["verify", "--enumerate", "5"], "GEB_ZERO_TOL", "GEB_ZERO_TOL"),
+], ids=["tol", "zero_tol", "report_zero_tol", "eps", "env_tol", "env_zero_tol"])
+def test_nan_tolerance_is_usage_error(capsys, monkeypatch, argv, env, name):
+    # every slack < -NaN is False, so a NaN tolerance would pass every check
+    if env is not None:
+        monkeypatch.setenv(env, "nan")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert name in err and "not a number: 'nan'" in err
+
+
+def test_infinite_tolerance_is_accepted(capsys):
+    code, out, _ = run(capsys, "verify", "--enumerate", "4", "--tol", "inf")
+    assert code == EXIT_CLEAN and "violations: 0" in out
+    code, out, _ = run(capsys, "equality", "--bound", "main", "--enumerate", "4", "--eps", "inf")
+    assert code == EXIT_CLEAN and "equality hits: 6" in out
 
 
 # --- environment variables ------------------------------------------------------------

@@ -211,6 +211,8 @@ def test_stats_zero_tol_validation():
         spectral_stats(spec, zero_tol=0.0)
     with pytest.raises(ValueError):
         spectral_stats(spec, zero_tol=-1e-9)
+    with pytest.raises(ValueError):
+        spectral_stats(spec, zero_tol=float("nan"))
 
 
 def test_stats_huge_zero_tol_zeroes_rank():
