@@ -52,7 +52,7 @@ class SpectralStats:
     t_nz: float | None       # min |eigenvalue| above zero_tol, None if rank 0
     rank: int                # count of |eigenvalue| > zero_tol
     det: float               # floating eigenvalue product
-    zero_tol: float          # decided rank, t and t_nz; nothing downstream re-tests it
+    zero_tol: float          # the threshold that decided rank, t and t_nz
 
 
 def _rows(g: Graph) -> list[list[int]]:
