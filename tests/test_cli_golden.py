@@ -30,9 +30,15 @@ CASES = {
     "verify_enum6_tol_neg": ["verify", "--enumerate", "6", "--tol", "-0.5"],
     "conjectures_enum6_tol_neg": ["conjectures", "--enumerate", "6", "--tol", "-1"],
     "equality_main_enum6": ["equality", "--bound", "main", "--enumerate", "6"],
+    # a zero threshold of 0.5 counts small nonzero eigenvalues as zero, which
+    # trips the rank-restricted Grüss rows
+    "verify_enum6_zero_tol": ["verify", "--enumerate", "6", "--zero-tol", "0.5"],
     "verify_gnp": ["verify", "--corpus", "{data}/gnp_small.g6"],
     "conjectures_gnp_tol_neg": ["conjectures", "--corpus", "{data}/gnp_small.g6",
                                 "--tol", "-0.3"],
+    # two 9-vertex graphs and the 10-vertex corona of K_{1,4} break conj2
+    "conjectures_conj2_counterexamples": ["conjectures", "--corpus",
+                                          "{data}/conj2_counterexamples.g6"],
     "report_triangle_json": ["report", "Bw"],
     "report_n10_csv": ["report", "I?qa`xjHW", "--format", "csv"],
     "report_n10_table": ["report", "I?qa`xjHW", "--format", "table"],

@@ -22,7 +22,9 @@ from geb.harness import (
     run_equality,
     run_verify,
 )
-from geb.spectral import Spectrum
+from geb.errors import InvariantViolation
+from geb.gruss import energy_chain
+from geb.spectral import Spectrum, spectral_stats
 import geb.bounds as bounds
 import geb.graphs as graphs
 import geb.harness as harness
@@ -271,6 +273,36 @@ def test_gruss_violations_are_reported(monkeypatch, shift, names):
     monkeypatch.setattr(harness, "eigenvalues_batch", shifted)
     summary = run_verify([path(4)])
     assert [v.bound_name for v in summary.violations if v.bound_name.startswith("gruss:")] == names
+
+
+def reference_gruss_rows(g, spec):
+    """The gruss:* violations derived from ``gruss.energy_chain`` on one spectrum."""
+    stats = spectral_stats(spec)
+    target = spec.energy * spec.energy - 2.0 * g.edge_count
+    rows = []
+    for suffix, restricted in (("", False), (":restricted", True))[:1 + bool(stats.rank)]:
+        try:
+            chain = energy_chain(spec, stats, restrict_to_nonzero=restricted)
+        except InvariantViolation as exc:
+            rows.append(("gruss:chain" + suffix, "nan", repr(spec.energy), str(exc)))
+            continue
+        if abs(chain.P - target) > 1e-6:
+            rows.append(("gruss:identity" + suffix, repr(chain.P), repr(target),
+                         "P != E^2 - 2m"))
+    return sorted(rows)  # the summary sorts its violations by name
+
+
+@pytest.mark.parametrize("shift", [-0.5, -1e-3, 0.0, 1e-3, 0.5])
+@pytest.mark.parametrize("g", [path(4), complete_bipartite(2, 3), petersen()],
+                         ids=["path4", "K2,3", "petersen"])
+def test_gruss_rows_match_the_reference_chain(monkeypatch, g, shift):
+    spec = harness.eigenvalues_batch([g])[0]
+    spec = Spectrum(spec.values, spec.energy + shift)
+    monkeypatch.setattr(harness, "eigenvalues_batch", lambda graphs: [spec])
+    summary = run_verify([g])
+    got = [(v.bound_name, repr(v.bound_value), repr(v.energy), v.detail)
+           for v in summary.violations if v.bound_name.startswith("gruss:")]
+    assert got == reference_gruss_rows(g, spec)
 
 
 # --- worker pool -----------------------------------------------------------------
