@@ -62,23 +62,17 @@ def _number(text: str) -> float:
     return value
 
 
-def _env_float(name: str) -> float | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _resolve(flag_value: float | None, env_name: str, default: float) -> float:
+    """The flag if given, else the environment variable if set and nonempty, else default."""
+    if flag_value is not None:
+        return flag_value
+    raw = os.environ.get(env_name)
+    if not raw:
+        return default
     try:
         return _number(raw)
     except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"environment variable {name} is {exc}")
-
-
-def _resolve(flag_value: float | None, env_name: str, default: float) -> float:
-    if flag_value is not None:
-        return flag_value
-    env_value = _env_float(env_name)
-    if env_value is not None:
-        return env_value
-    return default
+        raise _UsageError(f"environment variable {env_name} is {exc}")
 
 
 def _read_edge_list(path: str) -> Graph:
@@ -97,12 +91,10 @@ def _read_edge_list(path: str) -> Graph:
                     raise _UsageError(f"{path}: not an integer: {tok!r}")
     if not tokens:
         raise _UsageError(f"{path}: empty edge-list file")
-    n = tokens[0]
-    rest = tokens[1:]
+    n, *rest = tokens
     if len(rest) % 2:
         raise _UsageError(f"{path}: odd number of edge endpoints")
-    edges = list(zip(rest[0::2], rest[1::2]))
-    return from_edge_list(n, edges)
+    return from_edge_list(n, list(zip(rest[0::2], rest[1::2])))
 
 
 def _format_value(value) -> str:
@@ -289,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="write one graph6 line per isomorphism class")
     p_enum.add_argument("--n", type=int, required=True, metavar="N")
-    p_enum.add_argument(
-        "--connected", action="store_true", help="connected graphs only"
-    )
+    p_enum.add_argument("--connected", action="store_true", help="connected graphs only")
     p_enum.add_argument("--out", required=True, metavar="FILE")
     p_enum.set_defaults(func=_cmd_enumerate)
 

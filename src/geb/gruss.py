@@ -10,8 +10,9 @@ sits from its own bounds (``dragomir_bound``).
 
 ``energy_chain`` instantiates this with x = sorted absolute eigenvalues and
 y = energy - x, which turns the machinery into a lower bound on the pairwise
-product sum P = sum_{i != j} |l_i| |l_j|; that bound is what drives the main
-energy inequality downstream.
+product sum P = sum_{i != j} |l_i| |l_j|, the bound behind the main energy
+inequality. This module is the library API and the tests' reference; the
+verifier checks P >= P_lower directly, without building the vectors.
 """
 
 from __future__ import annotations

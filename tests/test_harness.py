@@ -9,7 +9,7 @@ import pytest
 
 from geb.bounds import bound_report
 from geb.enumeration import canonical_form, enumerate_connected
-from geb.graph6 import parse_graph6
+from geb.graph6 import parse_graph6, write_graph6
 from geb.graphs import (
     Graph, complete, complete_bipartite, cycle, from_edge_list, path, petersen,
 )
@@ -303,6 +303,38 @@ def test_gruss_rows_match_the_reference_chain(monkeypatch, g, shift):
     got = [(v.bound_name, repr(v.bound_value), repr(v.energy), v.detail)
            for v in summary.violations if v.bound_name.startswith("gruss:")]
     assert got == reference_gruss_rows(g, spec)
+
+
+def test_perron_breach_costs_one_graph(monkeypatch):
+    solve = harness.eigenvalues_batch
+
+    def breached(graphs):
+        """path(4) gets a smallest eigenvalue just past -lambda1."""
+        out = solve(graphs)
+        for i, g in enumerate(graphs):
+            if g == path(4):
+                values = out[i].values[:-1] + (-(out[i].values[0] + 1e-9),)
+                out[i] = Spectrum(values, sum(sorted((abs(v) for v in values), reverse=True)))
+        return out
+
+    monkeypatch.setattr(harness, "eigenvalues_batch", breached)
+    summary = run_verify([path(4), cycle(5)])
+    assert summary.graphs_seen == 2
+    chain = [(v.graph6, v.bound_name) for v in summary.violations
+             if v.bound_name.startswith("gruss:chain")]
+    p4 = write_graph6(path(4))
+    assert chain == [(p4, "gruss:chain"), (p4, "gruss:chain:restricted")]
+
+
+def test_verify_builds_no_energy_chain(monkeypatch):
+    graphs = enumerate_connected(6)
+    expected = run_verify(graphs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built an EnergyChain")
+
+    monkeypatch.setattr(harness, "energy_chain", refuse)
+    assert summaries_equal(run_verify(graphs), expected)
 
 
 # --- worker pool -----------------------------------------------------------------
