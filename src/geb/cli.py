@@ -63,7 +63,6 @@ def _number(text: str) -> float:
 
 
 def _resolve(flag_value: float | None, env_name: str, default: float) -> float:
-    """The flag if given, else the environment variable if set and nonempty, else default."""
     if flag_value is not None:
         return flag_value
     raw = os.environ.get(env_name)
@@ -91,10 +90,12 @@ def _read_edge_list(path: str) -> Graph:
                     raise _UsageError(f"{path}: not an integer: {tok!r}")
     if not tokens:
         raise _UsageError(f"{path}: empty edge-list file")
-    n, *rest = tokens
+    n = tokens[0]
+    rest = tokens[1:]
     if len(rest) % 2:
         raise _UsageError(f"{path}: odd number of edge endpoints")
-    return from_edge_list(n, list(zip(rest[0::2], rest[1::2])))
+    edges = list(zip(rest[0::2], rest[1::2]))
+    return from_edge_list(n, edges)
 
 
 def _format_value(value) -> str:
@@ -281,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="write one graph6 line per isomorphism class")
     p_enum.add_argument("--n", type=int, required=True, metavar="N")
-    p_enum.add_argument("--connected", action="store_true", help="connected graphs only")
+    p_enum.add_argument(
+        "--connected", action="store_true", help="connected graphs only"
+    )
     p_enum.add_argument("--out", required=True, metavar="FILE")
     p_enum.set_defaults(func=_cmd_enumerate)
 

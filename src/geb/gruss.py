@@ -10,9 +10,8 @@ sits from its own bounds (``dragomir_bound``).
 
 ``energy_chain`` instantiates this with x = sorted absolute eigenvalues and
 y = energy - x, which turns the machinery into a lower bound on the pairwise
-product sum P = sum_{i != j} |l_i| |l_j|, the bound behind the main energy
-inequality. This module is the library API and the tests' reference; the
-verifier checks P >= P_lower directly, without building the vectors.
+product sum P = sum_{i != j} |l_i| |l_j|. This module is the library API and
+the tests' reference; the verifier checks P >= P_lower without the vectors.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ from typing import Callable, Iterable
 
 from .bounds import BoundReport, bound_report
 from .graphs import Graph, is_complete_bipartite
-from .gruss import energy_chain  # noqa: F401  only reader: CALL_SITES in perfbench/tracing.py
+# energy_chain is not called here: its one reader is the CALL_SITES entry
+# ("geb.harness", "energy_chain") of perfbench/tracing.py
+from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
 from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum, eigenvalues_batch,
                        spectral_stats)
 
@@ -31,9 +33,7 @@ DEFAULT_EQUALITY_EPS = 1e-7
 EQUALITY_BOUNDS = ("cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lower")
 
 _CHUNK_SIZE = 1024
-_GRUSS_CHAIN_TOL = 1e-9     # fixed, like the identity's: --tol does not move them
-_GRUSS_IDENTITY_TOL = 1e-6
-_PERRON_SLACK = 1e-12       # round-off allowed on |eigenvalue| <= lambda1
+_GRUSS_IDENTITY_TOL = 1e-6  # fixed, like _CHAIN_TOL: --tol moves neither
 
 _PROVEN = ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound",
            "mcclelland_upper")
@@ -101,10 +101,12 @@ def _bound(summary: CorpusSummary, report: BoundReport, name: str, tol: float,
     if slack is None:
         return None
     if slack < -tol:
-        detail = None if spec is None else (
-            "spectrum=[" + ", ".join(f"{v:.12g}" for v in spec.values) + "]")
+        detail = None
+        if spec is not None:
+            detail = "spectrum=[" + ", ".join(f"{v:.12g}" for v in spec.values) + "]"
         summary.violations.append(
-            Violation(report.graph6, name, getattr(report, name), report.energy, detail))
+            Violation(report.graph6, name, getattr(report, name), report.energy, detail)
+        )
     summary.note_extreme(name, report.graph6, slack)
     return slack
 
@@ -144,9 +146,7 @@ def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, stats: SpectralSt
                        report: BoundReport) -> None:
     """Grüss chain P >= P_lower and identity P = E^2 - 2m, full and rank-restricted.
 
-    P and P_lower are ``gruss.energy_chain``'s arithmetic, bit for bit. A chain
-    violation, which includes an |eigenvalue| above lambda1, hides the identity row.
-    """
+    ``gruss.energy_chain``'s arithmetic, bit for bit; a chain row hides the identity row."""
     g6, energy, lam = report.graph6, stats.energy, stats.lambda1
     target = energy * energy - 2.0 * report.m
     absvals = sorted((abs(v) for v in spec.values), reverse=True)
@@ -155,9 +155,9 @@ def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, stats: SpectralSt
         P = sum(a * (energy - a) for a in absvals[:k])
         P_lower = energy * energy + k * lam * small - (lam + small) * energy
         chain = None
-        if lam < absvals[0] - _PERRON_SLACK:
+        if lam < absvals[0] - _BOUND_SLACK:  # BoundedVector's check: no |eigenvalue| > lambda1
             chain = f"largest |eigenvalue| {absvals[0]} exceeds lambda1 {lam}"
-        elif P < P_lower - _GRUSS_CHAIN_TOL:
+        elif P < P_lower - _CHAIN_TOL:
             chain = f"product sum {P} fell below its lower bound {P_lower}"
         if chain is not None:
             summary.violations.append(
