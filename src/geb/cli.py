@@ -150,7 +150,7 @@ def _corpus_source(args: argparse.Namespace, skips: _SkipCounter) -> Iterator[Gr
         yield from enumerate_connected(args.enumerate)
         return
     with open(args.corpus, encoding="ascii", errors="surrogateescape") as fh:
-        for _lineno, g in stream_corpus(fh, skip_bad=args.skip_bad, on_bad=skips):
+        for _lineno, g in stream_corpus(fh, on_bad=skips if args.skip_bad else None):
             yield g
 
 

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import Graph, msb_first, pair_count, pairs_in_order
+from .graphs import Graph, adjacency_stack, msb_first, pair_count, pairs_in_order
 
 MAX_CANONICAL_N = 10
 MAX_ENUMERATION_N = 7
@@ -94,9 +94,7 @@ def _least_relabelings(n: int, degrees: tuple[int, ...], bitsets: list[int]) -> 
     ascending ``degrees``) over the permutations inside each degree block."""
     length = pair_count(n)
     i, j = np.array(pairs_in_order(n)).T
-    bits = np.array(bitsets, dtype=np.int64)[:, None] >> np.arange(length) & 1
-    adj = np.zeros((len(bitsets), n, n), dtype=np.int64)
-    adj[:, i, j] = adj[:, j, i] = bits
+    adj = adjacency_stack(n, bitsets).astype(np.int64)
     best = np.full(len(bitsets), 1 << length, dtype=np.int64)  # above every value
     perms = _iter_block_perms(_degree_blocks(degrees))
     slab = max(1, _PERM_SLAB // len(bitsets))

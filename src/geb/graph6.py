@@ -63,17 +63,13 @@ def write_graph6(g: Graph) -> str:
     )
 
 
-def stream_corpus(
-    reader: TextIO,
-    skip_bad: bool = False,
-    on_bad=None,
-) -> Iterator[tuple[int, Graph]]:
+def stream_corpus(reader: TextIO, on_bad=None) -> Iterator[tuple[int, Graph]]:
     """Yield (line_number, Graph) for each non-empty line of a reader.
 
     Decode failures raise CorpusDecodeError naming the line, unless
-    ``skip_bad`` is set, in which case the line is dropped after calling
-    ``on_bad(line_number, exc)`` if given. The ``>>graph6<<`` header is
-    accepted on the first line only.
+    ``on_bad`` is given, in which case the line is dropped after calling
+    ``on_bad(line_number, exc)``. The ``>>graph6<<`` header is accepted on
+    the first line only.
     """
     for lineno, raw in enumerate(reader, 1):
         line = raw.strip()
@@ -86,7 +82,6 @@ def stream_corpus(
                 raise Graph6Error("header allowed on the first line only")
             yield lineno, parse_graph6(line)
         except Graph6Error as exc:
-            if not skip_bad:
+            if on_bad is None:
                 raise CorpusDecodeError(lineno, str(exc)) from exc
-            if on_bad is not None:
-                on_bad(lineno, exc)
+            on_bad(lineno, exc)

@@ -5,7 +5,9 @@ write. The edge set is an upper-triangle bitset packed into one Python int:
 the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``, the
 column-by-column order of the graph6 format. Isolated vertices are legal (n
 is stored separately from the bits). Only this module decodes the bitset,
-once per graph: ``edges`` and ``neighbor_masks`` read one memoized scan.
+in one of two ways: for the predicates, ``edges`` and ``neighbor_masks`` read
+one memoized Python scan per graph; for the eigensolver and the enumerator,
+``adjacency_stack`` unpacks many bitsets into 0/1 matrices at once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import CycleTooShort, NTooLarge, SelfLoop, VertexOutOfRange
 
@@ -97,6 +101,24 @@ def _decode(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
             masks[i] |= 1 << j
             edges.append(pairs[start + i])  # a shared tuple: the memo keeps a pointer
     return tuple(edges), tuple(masks)
+
+
+def adjacency_stack(n: int, bitsets: Sequence[int]) -> np.ndarray:
+    """The (len(bitsets), n, n) symmetric uint8 0/1 matrices of these bitsets."""
+    stack = np.zeros((len(bitsets), n, n), dtype=np.uint8)
+    length = pair_count(n)
+    if length:
+        nbytes = (length + 7) // 8  # via bytes, not int64: a bitset can exceed 63 bits
+        raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bitsets)
+        cols = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(len(bitsets), nbytes),
+            axis=1,
+            count=length,
+            bitorder="little",
+        )
+        j, i = np.tril_indices(n, -1)  # row-major lower triangle = pairs_in_order(n)
+        stack[:, i, j] = stack[:, j, i] = cols
+    return stack
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

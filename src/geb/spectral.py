@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .graphs import Graph, pairs_in_order
+from .graphs import Graph, adjacency_stack
 
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -51,7 +51,6 @@ class SpectralStats:
     t: float                 # min |eigenvalue|, exactly 0.0 when rank < n
     t_nz: float | None       # min |eigenvalue| above zero_tol, None if rank 0
     rank: int                # count of |eigenvalue| > zero_tol
-    det: float               # floating eigenvalue product
     zero_tol: float          # the threshold that decided rank, t and t_nz
 
 
@@ -64,24 +63,7 @@ def _rows(g: Graph) -> list[list[int]]:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    return np.array(_rows(g), dtype=float)
-
-
-def _adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    stack = np.zeros((len(graphs), n, n))
-    pairs = pairs_in_order(n)
-    nbytes = (len(pairs) + 7) // 8  # via bytes, not int64: adj can exceed 63 bits
-    if nbytes:
-        raw = b"".join(g.adj.to_bytes(nbytes, "little") for g in graphs)
-        cols = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), nbytes),
-            axis=1,
-            bitorder="little",
-        )
-        for k, (i, j) in enumerate(pairs):
-            stack[:, i, j] = cols[:, k]
-            stack[:, j, i] = cols[:, k]
-    return stack
+    return adjacency_stack(g.n, [g.adj])[0].astype(float)
 
 
 def _jacobi_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
@@ -123,8 +105,8 @@ def _jacobi_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
                 a[:, q, :] = ss * rp + cc * rq
                 cp = a[:, :, p].copy()
                 cq = a[:, :, q].copy()
-                a[:, :, p] = cc.ravel()[:, None] * cp - ss.ravel()[:, None] * cq
-                a[:, :, q] = ss.ravel()[:, None] * cp + cc.ravel()[:, None] * cq
+                a[:, :, p] = cc * cp - ss * cq
+                a[:, :, q] = ss * cp + cc * cq
     raise ConvergenceFailure(f"Jacobi did not reach tolerance in {_MAX_SWEEPS} sweeps")
 
 
@@ -135,7 +117,7 @@ def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
     for idx, g in enumerate(graphs):
         by_n.setdefault(g.n, []).append(idx)
     for n, indices in by_n.items():
-        stack = _adjacency_stack([graphs[i] for i in indices], n)
+        stack = adjacency_stack(n, [graphs[i].adj for i in indices]).astype(float)
         diags = _jacobi_eigenvalues_stack(stack)
         diags = -np.sort(-diags, axis=1)
         for row, idx in enumerate(indices):
@@ -151,7 +133,7 @@ def eigenvalues(g: Graph) -> Spectrum:
 
 
 def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralStats:
-    """Extract E, lambda_1, t, t_nz, numerical rank, and the eigenproduct."""
+    """Extract E, lambda_1, t, t_nz and the numerical rank."""
     if not zero_tol > 0:  # also refuses NaN
         raise ValueError("zero_tol must be positive")
     nonzero = [abs(v) for v in spec.values if abs(v) > zero_tol]
@@ -163,7 +145,6 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
         t=t_nz if rank == spec.n else 0.0,  # on singular spectra min abs is noise
         t_nz=t_nz,
         rank=rank,
-        det=float(math.prod(spec.values)),
         zero_tol=zero_tol,
     )
 

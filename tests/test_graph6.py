@@ -140,7 +140,7 @@ def test_stream_corpus_reports_bad_line():
 def test_stream_corpus_skip_bad_counts():
     fh = io.StringIO("A_\n~bad\nBw\n>>late-header<<\nA?\n")
     seen_bad = []
-    out = list(stream_corpus(fh, skip_bad=True, on_bad=lambda ln, exc: seen_bad.append(ln)))
+    out = list(stream_corpus(fh, on_bad=lambda ln, exc: seen_bad.append(ln)))
     assert [lineno for lineno, _ in out] == [1, 3, 5]
     assert seen_bad == [2, 4]
 

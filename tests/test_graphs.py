@@ -3,12 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from geb.errors import CycleTooShort, NTooLarge, SelfLoop, VertexOutOfRange
 from geb.graphs import (
     Graph,
+    adjacency_stack,
     bipartition,
     complete,
     complete_bipartite,
@@ -215,3 +217,18 @@ def test_structure_is_decoded_once_and_shared():
     assert g.neighbor_masks() is g.neighbor_masks()
     assert isinstance(g.edges(), tuple) and isinstance(g.neighbor_masks(), tuple)
     assert list(g.edges()) == sorted(g.edges(), key=lambda e: (e[1], e[0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 62])  # 12 and 62 need more than 63 bits
+def test_adjacency_stack_matches_edges(n):
+    rng = random.Random(n)
+    length = pair_count(n)
+    bitsets = [0, (1 << length) - 1] + [rng.getrandbits(length) for _ in range(5)]
+    stack = adjacency_stack(n, bitsets)
+    assert stack.shape == (len(bitsets), n, n) and stack.dtype == np.uint8
+    for bits, adj in zip(bitsets, stack):
+        expected = np.zeros((n, n), dtype=np.uint8)
+        for i, j in Graph(n, bits).edges():
+            expected[i, j] = expected[j, i] = 1
+        assert np.array_equal(adj, expected)
+        assert np.array_equal(adj, adj.T) and not adj.diagonal().any()

@@ -214,7 +214,7 @@ def test_chain_zero_rank():
     # all eigenvalues under the threshold but energy above it
     spec = Spectrum(values=(0.2,) * 5 + (-0.2,) * 5, energy=2.0)
     stats = SpectralStats(
-        energy=2.0, lambda1=0.2, t=0.2, t_nz=None, rank=0, det=0.0, zero_tol=0.5,
+        energy=2.0, lambda1=0.2, t=0.2, t_nz=None, rank=0, zero_tol=0.5,
     )
     with pytest.raises(ZeroRank):
         energy_chain(spec, stats, restrict_to_nonzero=True)
@@ -223,7 +223,7 @@ def test_chain_zero_rank():
 def test_chain_rejects_inconsistent_energy():
     spec = Spectrum(values=(3.0, 1.0), energy=100.0)
     stats = SpectralStats(
-        energy=100.0, lambda1=3.0, t=1.0, t_nz=1.0, rank=2, det=3.0, zero_tol=1e-8,
+        energy=100.0, lambda1=3.0, t=1.0, t_nz=1.0, rank=2, zero_tol=1e-8,
     )
     with pytest.raises(InvariantViolation):
         energy_chain(spec, stats)

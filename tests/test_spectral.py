@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import random_graphs
+import geb.spectral
 from geb.enumeration import enumerate_connected, enumerate_graphs
+from geb.errors import ConvergenceFailure
 from geb.graph6 import parse_graph6
 from geb.graphs import (
     Graph,
@@ -132,6 +134,13 @@ def test_batch_spectra_equal_solo_solves(data_dir):
         assert spec == eigenvalues(g)
 
 
+def test_sweep_cap_raises(monkeypatch):
+    # one sweep cannot diagonalize Petersen: the cap must surface, not return junk
+    monkeypatch.setattr(geb.spectral, "_MAX_SWEEPS", 1)
+    with pytest.raises(ConvergenceFailure):
+        eigenvalues(petersen())
+
+
 def test_batch_of_empty_sequence():
     assert eigenvalues_batch([]) == []
 
@@ -175,7 +184,6 @@ def test_stats_path_three():
     assert st.t_nz is not None and close(st.t_nz, SQRT2)
     assert st.rank == 2
     assert st.rank < 3
-    assert close(st.det, 0.0, tol=1e-12)
     assert st.zero_tol == DEFAULT_ZERO_TOL
 
 
@@ -186,7 +194,6 @@ def test_stats_complete_four():
     assert close(st.t_nz, 1.0)
     assert st.rank == 4
     assert not st.rank < 4
-    assert close(st.det, -3.0, tol=1e-8)
 
 
 def test_stats_single_edge():
@@ -194,7 +201,6 @@ def test_stats_single_edge():
     assert close(st.lambda1, 1.0)
     assert close(st.t, 1.0)
     assert st.rank == 2
-    assert close(st.det, -1.0, tol=1e-12)
 
 
 def test_stats_empty_graph_has_rank_zero():
