@@ -34,7 +34,7 @@ from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
 from .graphs import Graph, adjacency_stack, msb_first, pair_count, pairs_in_order
 
 MAX_CANONICAL_N = 10
-MAX_ENUMERATION_N = 7
+MAX_ENUMERATION_N = 8
 
 _PERM_SLAB = 10_000  # bitsets x permutations relabeled per numpy step
 

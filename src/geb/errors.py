@@ -60,7 +60,7 @@ class NTooLargeForCanonicalization(GebError, ValueError):
 
 
 class NTooLargeForEnumeration(GebError, ValueError):
-    """Built-in exhaustive enumeration is capped at 7 vertices."""
+    """Built-in exhaustive enumeration is capped at 8 vertices."""
 
 
 # numerics

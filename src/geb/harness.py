@@ -2,11 +2,12 @@
 
 Each driver folds chunks of graphs (eigenvalue solves batch across a chunk)
 into one CorpusSummary. One chunk loop serves every driver: it derives each
-graph's SpectralStats once, and the BoundReport and every verdict read that
-record. verify checks the Grüss product-sum chain and identity directly, with
-``gruss.energy_chain``'s arithmetic but without its vectors. Chunks may go to
-worker processes; the merge is commutative and the final lists are sorted, so
-the outcome is identical for any worker count and any chunk order.
+graph's SpectralStats once, the BoundReport copies them, and every verdict
+reads that one record. verify checks the Grüss product-sum chain and identity
+directly, with ``gruss.energy_chain``'s arithmetic but without its vectors.
+Chunks may go to worker processes; the merge is commutative and the final
+lists are sorted, so the outcome is identical for any worker count and any
+chunk order.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .graphs import Graph, is_complete_bipartite
 # energy_chain is not called here: its one reader is the CALL_SITES entry
 # ("geb.harness", "energy_chain") of perfbench/tracing.py
 from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
-from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum, eigenvalues_batch,
-                       spectral_stats)
+from .spectral import DEFAULT_ZERO_TOL, Spectrum, eigenvalues_batch, spectral_stats
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EQUALITY_EPS = 1e-7
@@ -142,16 +142,15 @@ def _invariants(r: BoundReport) -> list[tuple[str, float, float, float, str]]:
     return rows
 
 
-def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, stats: SpectralStats,
-                       report: BoundReport) -> None:
+def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, report: BoundReport) -> None:
     """Grüss chain P >= P_lower and identity P = E^2 - 2m, full and rank-restricted.
 
     ``gruss.energy_chain``'s arithmetic, bit for bit; a chain row hides the identity row."""
-    g6, energy, lam = report.graph6, stats.energy, stats.lambda1
+    g6, energy, lam = report.graph6, report.energy, report.lambda1
     target = energy * energy - 2.0 * report.m
     absvals = sorted((abs(v) for v in spec.values), reverse=True)
-    rows = (("", spec.n, stats.t), (":restricted", stats.rank, stats.t_nz))
-    for suffix, k, small in rows if stats.rank else rows[:1]:
+    rows = (("", spec.n, report.t), (":restricted", report.rank, report.t_nz))
+    for suffix, k, small in rows if report.rank else rows[:1]:
         P = sum(a * (energy - a) for a in absvals[:k])
         P_lower = energy * energy + k * lam * small - (lam + small) * energy
         chain = None
@@ -167,27 +166,27 @@ def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, stats: SpectralSt
                 Violation(g6, "gruss:identity" + suffix, P, target, "P != E^2 - 2m"))
 
 
-# Visitors: each gets (summary, graph, spectrum, stats, report) plus its own settings.
+# Visitors: each gets (summary, graph, spectrum, report) plus its own settings.
 
-def _verify(summary, g, spec, stats, report, tol: float) -> None:
+def _verify(summary, g, spec, report, tol: float) -> None:
     for name in _PROVEN:
         _bound(summary, report, name, tol)
     if report.m >= 1:
         for name, a, b, margin, detail in _invariants(report):
             if margin < -tol:
                 summary.violations.append(Violation(report.graph6, name, a, b, detail))
-        _check_gruss_chain(summary, spec, stats, report)
+        _check_gruss_chain(summary, spec, report)
 
 
-def _conjectures(summary, g, spec, stats, report, tol: float) -> None:
-    # bound_report leaves both conjectures None off connected graphs with edges
+def _conjectures(summary, g, spec, report, tol: float) -> None:
+    # bound_report sets both conjectures only on connected graphs with an edge
     if _bound(summary, report, "conj1", tol, spec) is None:
         summary.graphs_skipped += 1
         return
     _bound(summary, report, "conj2", tol, spec)
 
 
-def _equality(summary, g, spec, stats, report, bound: str, eps: float) -> None:
+def _equality(summary, g, spec, report, bound: str, eps: float) -> None:
     slack = _bound(summary, report, bound, math.inf)  # a scan: nothing is a violation
     if slack is None:
         summary.graphs_skipped += 1
@@ -202,8 +201,7 @@ def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> 
     summary = CorpusSummary()
     for g, spec in zip(graphs, eigenvalues_batch(graphs)):
         summary.graphs_seen += 1
-        stats = spectral_stats(spec, zero_tol)
-        visit(summary, g, spec, stats, bound_report(g, stats=stats))
+        visit(summary, g, spec, bound_report(g, stats=spectral_stats(spec, zero_tol)))
     return summary
 
 

@@ -135,7 +135,7 @@ def test_verify_enumerated_five(capsys):
 
 
 def test_verify_enumerate_range_check(capsys):
-    code, _, err = run(capsys, "verify", "--enumerate", "8")
+    code, _, err = run(capsys, "verify", "--enumerate", "9")
     assert code == EXIT_USAGE
     assert "error:" in err
 

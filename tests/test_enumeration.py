@@ -6,17 +6,15 @@ n <= 5 the two pipelines must produce identical isomorphism classes, not
 just identical counts.
 """
 
-import importlib.util
 import itertools
 import random
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geb.cli import main
 from geb.errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
 from geb.graphs import (
     Graph,
@@ -37,10 +35,8 @@ from geb.enumeration import (
     enumerate_graphs,
 )
 
-GENERATOR = Path(__file__).resolve().parent.parent / "scripts" / "generate_connected8.py"
-
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def naive_key(n, edges):
@@ -87,7 +83,7 @@ def test_all_graph_counts(n, count):
     assert len(enumerate_graphs(n, connected=False)) == count
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_connected_recursion_matches_filtered_full_recursion(n):
     # the two lists come from different recursions: connected classes are
     # extended only from connected classes, by nonempty neighbourhoods
@@ -95,15 +91,11 @@ def test_connected_recursion_matches_filtered_full_recursion(n):
     assert connected == [g for g in enumerate_graphs(n, connected=False) if is_connected(g)]
 
 
-def test_fixture_generator_rebuilds_connected8(data_dir, tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location("generate_connected8", GENERATOR)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_enumerate_command_rebuilds_connected8(data_dir, tmp_path, capsys):
     out = tmp_path / "connected8.g6"
-    monkeypatch.setattr(sys, "argv", [str(GENERATOR), str(out)])
-    assert script.main() == 0
+    assert main(["enumerate", "--n", "8", "--connected", "--out", str(out)]) == 0
     assert out.read_bytes() == (data_dir / "connected8.g6").read_bytes()
-    assert capsys.readouterr().out.startswith("11117 connected graphs on 8 vertices")
+    assert capsys.readouterr().out == f"11117 graphs written to {out}\n"
 
 
 def test_block_permutations_are_generated_lazily():
@@ -119,7 +111,7 @@ def test_block_permutations_are_generated_lazily():
 
 def test_enumerate_rejects_out_of_range():
     with pytest.raises(NTooLargeForEnumeration):
-        enumerate_connected(8)
+        enumerate_connected(9)
     with pytest.raises(NTooLargeForEnumeration):
         enumerate_graphs(0)
 
