@@ -66,7 +66,7 @@ class NTooLargeForEnumeration(GebError, ValueError):
 # numerics
 
 class ConvergenceFailure(GebError, ArithmeticError):
-    """The eigensolver hit its sweep cap before reaching tolerance."""
+    """The Jacobi eigensolver (n <= 10; bisection above always ends) hit its sweep cap."""
 
 
 class InvariantViolation(GebError, ArithmeticError):

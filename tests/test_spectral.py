@@ -5,10 +5,12 @@ never calls it.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graphs
 import geb.spectral
@@ -112,11 +114,35 @@ def test_energy_is_deterministic_abs_sum():
 
 
 @settings(max_examples=150, deadline=None)
-@given(random_graphs(max_n=12))
+@given(st.one_of(random_graphs(max_n=10), random_graphs(min_n=11, max_n=62)))
 def test_matches_numpy_eigvalsh(g):
+    # both solvers: Jacobi up to n = 10, tridiagonal bisection above
     ours = np.array(eigenvalues(g).values)
     ref = np.sort(np.linalg.eigvalsh(adjacency_matrix(g)))[::-1]
     assert np.abs(ours - ref).max() < 1e-9
+
+
+TIGHT_FAMILIES = {
+    "complete": complete,
+    "star": lambda n: complete_bipartite(1, n - 1),
+    "balanced_bipartite": lambda n: complete_bipartite(n // 2, n - n // 2),
+    "cycle": cycle,
+    "path": path,
+    "edgeless": lambda n: Graph(n, 0),
+    "petersen_plus_isolated": lambda n: Graph(n, petersen().adj),
+}
+
+
+@pytest.mark.parametrize("family", TIGHT_FAMILIES)
+@pytest.mark.parametrize("n", [11, 20, 40, 62])
+def test_tight_families_match_eigvalsh(family, n):
+    # closed-form families, the tight complete bipartite and regular cases
+    # among them: bisection must stay as close to the oracle as Jacobi does
+    g = TIGHT_FAMILIES[family](n)
+    spec = eigenvalues(g)
+    ref = np.sort(np.linalg.eigvalsh(adjacency_matrix(g)))[::-1]
+    assert np.abs(np.array(spec.values) - ref).max() < 1e-12
+    assert abs(spec.energy - np.abs(ref).sum()) < 1e-11
 
 
 def test_batch_agrees_with_single_calls():
@@ -126,12 +152,26 @@ def test_batch_agrees_with_single_calls():
         assert spec == eigenvalues(g)
 
 
-def test_batch_spectra_equal_solo_solves(data_dir):
-    # a matrix's eigenvalues must not depend on which graphs share its batch
-    with open(data_dir / "connected8.g6", encoding="ascii") as fh:
+@pytest.mark.parametrize("corpus", ["connected8.g6", "gnp_small.g6"])
+def test_batch_spectra_equal_solo_solves(data_dir, corpus):
+    # a matrix's eigenvalues must not depend on which graphs share its batch;
+    # gnp_small (n = 10, 20, 40) runs both solvers
+    with open(data_dir / corpus, encoding="ascii") as fh:
         graphs = [parse_graph6(line) for line, _ in zip(fh, range(300))]
+    random.Random(0).shuffle(graphs)
     for g, spec in zip(graphs, eigenvalues_batch(graphs)):
         assert spec == eigenvalues(g)
+
+
+def test_bisection_freezes_converged_intervals():
+    # every adjacency matrix with an edge has r >= 1 and needs 53 bisection
+    # steps, so the freeze only shows next to a matrix with r < 1 (here 0.01
+    # times an adjacency matrix), which converges in fewer steps
+    small = 0.01 * adjacency_matrix(Graph(11, petersen().adj))
+    big = adjacency_matrix(complete(11))
+    batch = geb.spectral._tridiagonal_eigenvalues_stack(np.stack([small, big]))
+    for row, m in zip(batch, (small, big)):
+        assert (row == geb.spectral._tridiagonal_eigenvalues_stack(m[None].copy())[0]).all()
 
 
 def test_sweep_cap_raises(monkeypatch):
@@ -203,12 +243,15 @@ def test_stats_single_edge():
     assert st.rank == 2
 
 
-def test_stats_empty_graph_has_rank_zero():
-    st = spectral_stats(eigenvalues(Graph(3, 0)))
-    assert st.rank == 0
-    assert st.t_nz is None
-    assert st.lambda1 == 0.0
-    assert st.rank < 3
+@pytest.mark.parametrize("n", [3, 11, 62])
+def test_stats_empty_graph_has_rank_zero(n):
+    spec = eigenvalues(Graph(n, 0))
+    assert all(v == 0.0 for v in spec.values)
+    assert spec.energy == 0.0
+    stats = spectral_stats(spec)
+    assert stats.rank == 0
+    assert stats.t_nz is None
+    assert stats.lambda1 == 0.0
 
 
 def test_stats_zero_tol_validation():
