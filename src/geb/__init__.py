@@ -64,6 +64,7 @@ from .spectral import (
     SpectralStats,
     Spectrum,
     determinant_exact,
+    determinants_exact,
     eigenvalues,
     eigenvalues_batch,
     integer_rank,
@@ -99,6 +100,7 @@ __all__ = [
     "cycle",
     "degree_sequence",
     "determinant_exact",
+    "determinants_exact",
     "dragomir_bound",
     "eigenvalues",
     "eigenvalues_batch",

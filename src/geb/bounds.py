@@ -144,7 +144,7 @@ class BoundReport:
     t: float
     t_nz: float | None
     rank: int
-    det_abs: int
+    det_abs: int             # exact, from spectral.determinants_exact's modular elimination
     mcclelland_lower: float
     caporossi: float
     main: float | None
@@ -179,18 +179,22 @@ def bound_report(
     g: Graph,
     zero_tol: float = DEFAULT_ZERO_TOL,
     stats: SpectralStats | None = None,
+    det: int | None = None,
 ) -> BoundReport:
     """Evaluate every bound on one graph.
 
     Corpus drivers pass the ``stats`` of a batch-solved spectrum, ``zero_tol``
-    already applied; without them the graph is solved here.
+    already applied, and the graph's batch-computed exact ``det``; without
+    them the graph is solved here.
     """
     if stats is None:
         stats = spectral_stats(eigenvalues(g), zero_tol)
+    if det is None:
+        det = determinant_exact(g)
     n = g.n
     m = g.edge_count
     connected = is_connected(g)
-    det_abs = abs(determinant_exact(g))
+    det_abs = abs(det)
     energy = stats.energy
 
     mc_lo = mcclelland_lower(n, m, det_abs)

@@ -205,7 +205,8 @@ def _cmd_equality(args: argparse.Namespace) -> int:
     print(f"graphs seen: {summary.graphs_seen}")
     print(f"graphs skipped: {summary.graphs_skipped}")
     print(f"equality hits: {len(summary.equality_hits)}")
-    return EXIT_CLEAN
+    _print_violations(summary)  # only solver failures: a scan flags no bound
+    return EXIT_VIOLATIONS if summary.violations else EXIT_CLEAN
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:

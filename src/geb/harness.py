@@ -1,9 +1,9 @@
 """Corpus drivers: soundness verification, conjecture checks, equality search.
 
-Each driver folds chunks of graphs (eigenvalue solves batch across a chunk)
-into one CorpusSummary. One chunk loop serves every driver: it derives each
-graph's SpectralStats once, the BoundReport copies them, and every verdict
-reads that one record. verify checks the Grüss product-sum chain and identity
+Each driver folds chunks of graphs (eigenvalue solves and exact determinants
+batch across a chunk) into one CorpusSummary. One chunk loop serves every
+driver: it derives each graph's SpectralStats once, the BoundReport copies
+them, and every verdict reads that one record. verify checks the Grüss product-sum chain and identity
 directly, with ``gruss.energy_chain``'s arithmetic but without its vectors.
 Chunks may go to worker processes; the merge is commutative and the final
 lists are sorted, so the outcome is identical for any worker count and any
@@ -21,11 +21,14 @@ from itertools import islice
 from typing import Callable, Iterable
 
 from .bounds import BoundReport, bound_report
+from .errors import ConvergenceFailure
+from .graph6 import write_graph6
 from .graphs import Graph, is_complete_bipartite
 # energy_chain is not called here: its one reader is the CALL_SITES entry
 # ("geb.harness", "energy_chain") of perfbench/tracing.py
 from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
-from .spectral import DEFAULT_ZERO_TOL, Spectrum, eigenvalues_batch, spectral_stats
+from .spectral import (DEFAULT_ZERO_TOL, Spectrum, determinants_exact, eigenvalues_batch,
+                       spectral_stats)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EQUALITY_EPS = 1e-7
@@ -196,12 +199,33 @@ def _equality(summary, g, spec, report, bound: str, eps: float) -> None:
         )
 
 
+def _spectra(graphs: list[Graph]) -> list[Spectrum | ConvergenceFailure]:
+    """The chunk's spectra in one batch; after a solver failure, one graph at a time.
+
+    A spectrum does not depend on its batch, so only the failing graphs change:
+    each holds its own ConvergenceFailure.
+    """
+    try:
+        return eigenvalues_batch(graphs)
+    except ConvergenceFailure as exc:
+        if len(graphs) == 1:
+            return [exc]
+        return [spec for g in graphs for spec in _spectra([g])]
+
+
 def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> CorpusSummary:
-    """Solve the chunk's spectra in one batch and visit every graph once."""
+    """Solve the chunk's spectra and determinants in one batch each and visit every graph once.
+
+    A graph whose solve does not converge is one ``solver:no_convergence`` violation.
+    """
     summary = CorpusSummary()
-    for g, spec in zip(graphs, eigenvalues_batch(graphs)):
+    for g, spec, det in zip(graphs, _spectra(graphs), determinants_exact(graphs)):
         summary.graphs_seen += 1
-        visit(summary, g, spec, bound_report(g, stats=spectral_stats(spec, zero_tol)))
+        if isinstance(spec, ConvergenceFailure):
+            summary.violations.append(
+                Violation(write_graph6(g), "solver:no_convergence", math.nan, math.nan, str(spec)))
+            continue
+        visit(summary, g, spec, bound_report(g, stats=spectral_stats(spec, zero_tol), det=det))
     return summary
 
 

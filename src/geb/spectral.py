@@ -16,16 +16,19 @@ matrices at once, and ``eigenvalues_batch`` picks one by vertex count:
 Either way a matrix's eigenvalues do not depend on which other matrices
 share its batch.
 
-Exact companions: ``determinant_exact`` (fraction-free Bareiss elimination
-over Python ints) and ``integer_rank`` (division-free row echelon), used to
-cross-check the floating spectrum.
+Exact companions: ``determinants_exact`` takes a whole stack too. It
+eliminates it modulo one prime below 2**24 at a time, in float64 with every
+product exact, and joins the residues by the Chinese remainder theorem (von
+zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5); ``integer_rank``
+runs a division-free row echelon over Python ints. Both cross-check the
+floating spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,14 +64,6 @@ class SpectralStats:
     t_nz: float | None       # min |eigenvalue| above zero_tol, None if rank 0
     rank: int                # count of |eigenvalue| > zero_tol
     zero_tol: float          # the threshold that decided rank, t and t_nz
-
-
-def _rows(g: Graph) -> list[list[int]]:
-    """The 0/1 adjacency matrix as lists of Python ints."""
-    rows = [[0] * g.n for _ in range(g.n)]
-    for i, j in g.edges():
-        rows[i][j] = rows[j][i] = 1
-    return rows
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -175,13 +170,18 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _by_n(graphs: Sequence[Graph]) -> dict[int, list[int]]:
+    """The graphs' indices, grouped by vertex count."""
+    groups: dict[int, list[int]] = {}
+    for idx, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(idx)
+    return groups
+
+
 def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
     """Spectra for many graphs at once (grouped internally by vertex count)."""
     out: list[Spectrum | None] = [None] * len(graphs)
-    by_n: dict[int, list[int]] = {}
-    for idx, g in enumerate(graphs):
-        by_n.setdefault(g.n, []).append(idx)
-    for n, indices in by_n.items():
+    for n, indices in _by_n(graphs).items():
         stack = adjacency_stack(n, [graphs[i].adj for i in indices]).astype(float)
         solve = _jacobi_eigenvalues_stack if n <= _JACOBI_MAX_N else _tridiagonal_eigenvalues_stack
         diags = solve(stack)
@@ -215,29 +215,104 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
     )
 
 
+# Primes below 2**24, largest first. With entries below 2p in absolute value,
+# an update p_k * x - a * y stays below 8p**2 < 2**51: exact in float64.
+_PRIMES = (16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121)
+
+
+def _primes_for(n: int) -> tuple[int, ...]:
+    """The fewest leading primes whose product exceeds 2 (n-1)^(n/2).
+
+    (n-1)^(n/2) is Hadamard's bound on |det| for n rows of at most n - 1
+    ones, so the product of the primes pins a symmetric residue to det.
+    """
+    bound = 4 * (n - 1) ** n  # both sides squared
+    k = next(k for k in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > bound)
+    return _PRIMES[:k]
+
+
+def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list[int]]:
+    """For each prime p, det mod p in [0, p) of every matrix of an (n, n, b) 0/1 stack.
+
+    Division-free elimination: row_i <- p_k row_i - a_ik row_k multiplies
+    det by p_k once for each of the n - 1 - k rows below pivot k, so
+    det = sign * prod p_k / prod p_k^(n-1-k) = sign * P_{n-1} / (P_0 ... P_{n-2})
+    with P_k = p_0 ... p_k. After each update every entry x is reduced to
+    x - p floor(x * (1/p)); that float quotient is off by less than 1, so the
+    result lies in [-p, 2p). One working stack and one temporary of its size
+    serve every prime.
+    """
+    n, _, b = stack.shape
+    a = np.empty(stack.shape)
+    tmp = np.empty(stack.size)
+    cols = np.arange(b)
+    for p in primes:
+        inv = 1.0 / p
+        a[...] = stack
+        prefix = np.ones(b)  # P_k
+        denom = np.ones(b)   # P_0 ... P_{k-1}
+        sign = np.ones(b, dtype=np.int64)
+        for k in range(n):
+            col = a[k:, k]
+            nonzero = (col != 0.0) & (np.abs(col) != p)
+            below = nonzero.argmax(axis=0)  # 0 (no swap) when the column is 0 mod p
+            swap = below > 0
+            if swap.any():
+                rows, which = below[swap] + k, cols[swap]
+                top = a[k, :, which]
+                a[k, :, which] = a[rows, :, which]
+                a[rows, :, which] = top
+                sign[swap] = -sign[swap]
+            pivot = a[k, k]  # 0 mod p when the column is: then so is det
+            prefix = prefix * pivot
+            prefix -= p * np.floor(prefix * inv)
+            if k == n - 1:
+                break
+            denom = denom * prefix
+            denom -= p * np.floor(denom * inv)
+            m = n - 1 - k
+            sub, t = a[k + 1 :, k + 1 :], tmp[: m * m * b].reshape(m, m, b)
+            sub *= pivot
+            np.multiply(a[k + 1 :, k, None], a[None, k, k + 1 :], out=t)
+            sub -= t
+            np.multiply(sub, inv, out=t)
+            np.floor(t, out=t)
+            t *= p
+            sub -= t
+        # Fermat's inverse; a zero denominator only comes with a zero numerator
+        yield [s * num * pow(den, p - 2, p) % p
+               for s, num, den in zip(sign.tolist(), prefix.astype(np.int64).tolist(),
+                                      denom.astype(np.int64).tolist())]
+
+
+def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
+    """Exact adjacency determinants of many graphs at once (grouped by vertex count).
+
+    Each group's stack is eliminated modulo one prime at a time, with as many
+    primes as Hadamard's bound needs, and the residues are joined by the
+    Chinese remainder theorem into the symmetric residue.
+    """
+    out = [0] * len(graphs)
+    for n, indices in _by_n(graphs).items():
+        primes = _primes_for(n)
+        modulus = math.prod(primes)
+        # batch last, so that every row operation runs over contiguous memory
+        stack = np.ascontiguousarray(
+            adjacency_stack(n, [graphs[i].adj for i in indices]).transpose(1, 2, 0))
+        total = [0] * len(indices)
+        for p, residues in zip(primes, _determinants_mod(stack, primes)):
+            cofactor = modulus // p
+            basis = cofactor * pow(cofactor, -1, p)  # 1 mod p, 0 mod the others
+            total = [t + r * basis for t, r in zip(total, residues)]
+        for idx, t in zip(indices, total):
+            t %= modulus
+            out[idx] = t - modulus if 2 * t > modulus else t
+    return out
+
+
 def determinant_exact(g: Graph) -> int:
-    """Exact adjacency determinant by fraction-free Bareiss elimination."""
-    n = g.n
-    a = _rows(g)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), -1)
-            if pivot < 0:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        pkk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pkk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pkk
-    return sign * a[n - 1][n - 1]
+    """Exact adjacency determinant of one graph."""
+    return determinants_exact([g])[0]
 
 
 def integer_rank(g: Graph) -> int:
@@ -247,7 +322,7 @@ def integer_rank(g: Graph) -> int:
     integers small; no inexact division ever happens.
     """
     n = g.n
-    rows = _rows(g)
+    rows = adjacency_stack(n, [g.adj])[0].tolist()
     rank = 0
     for col in range(n):
         pivot = next((r for r in range(rank, n) if rows[r][col] != 0), -1)

@@ -27,10 +27,13 @@ from geb.graphs import (
     triangle_count,
 )
 from geb.spectral import (
+    _PRIMES,
     DEFAULT_ZERO_TOL,
     Spectrum,
+    _primes_for,
     adjacency_matrix,
     determinant_exact,
+    determinants_exact,
     eigenvalues,
     eigenvalues_batch,
     integer_rank,
@@ -154,13 +157,14 @@ def test_batch_agrees_with_single_calls():
 
 @pytest.mark.parametrize("corpus", ["connected8.g6", "gnp_small.g6"])
 def test_batch_spectra_equal_solo_solves(data_dir, corpus):
-    # a matrix's eigenvalues must not depend on which graphs share its batch;
-    # gnp_small (n = 10, 20, 40) runs both solvers
+    # a matrix's eigenvalues and determinant must not depend on which graphs
+    # share its batch; gnp_small (n = 10, 20, 40) runs both eigensolvers
     with open(data_dir / corpus, encoding="ascii") as fh:
         graphs = [parse_graph6(line) for line, _ in zip(fh, range(300))]
     random.Random(0).shuffle(graphs)
     for g, spec in zip(graphs, eigenvalues_batch(graphs)):
         assert spec == eigenvalues(g)
+    assert determinants_exact(graphs) == [determinant_exact(g) for g in graphs]
 
 
 def test_bisection_freezes_converged_intervals():
@@ -272,6 +276,70 @@ def test_stats_huge_zero_tol_zeroes_rank():
 
 
 # --- exact integer companions ----------------------------------------------
+
+
+def bareiss_determinant(g):
+    """Fraction-free Bareiss elimination over Python ints: the determinant oracle."""
+    n = g.n
+    a = [[int(g.has_edge(i, j)) for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), -1)
+            if pivot < 0:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(random_graphs(max_n=10), random_graphs(min_n=11, max_n=62)),
+                min_size=1, max_size=6))
+def test_determinants_match_bareiss(graphs):
+    assert determinants_exact(graphs) == [bareiss_determinant(g) for g in graphs]
+
+
+def cycle_determinant(n):
+    return 2 if n % 2 else (0 if n % 4 == 0 else -4)
+
+
+@pytest.mark.parametrize("n", [11, 20, 40, 62])
+def test_determinant_closed_forms(n):
+    cases = [
+        (complete(n), (-1) ** (n - 1) * (n - 1)),
+        (complete_bipartite(1, n - 1), 0),
+        (complete_bipartite(n // 2, n - n // 2), 0),
+        (cycle(n), cycle_determinant(n)),
+        (path(n), 0 if n % 2 else (-1) ** (n // 2)),
+        (Graph(n, petersen().adj), 0),
+        (Graph(n, 0), 0),
+    ]
+    graphs, dets = zip(*cases)
+    assert determinants_exact(list(graphs)) == list(dets)
+    assert [determinant_exact(g) for g in graphs] == list(dets)
+
+
+def is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_primes_cover_the_hadamard_bound():
+    assert all(is_prime(p) and p < 2**24 for p in _PRIMES)
+    assert len(set(_PRIMES)) == len(_PRIMES)
+    for n in range(1, 63):
+        primes = _primes_for(n)
+        # prod p > 2 (n-1)^(n/2), squared; one prime fewer would not do (at
+        # n = 1 the bound is 0 and no prime is needed)
+        assert math.prod(primes) ** 2 > 4 * (n - 1) ** n
+        assert not primes or math.prod(primes[:-1]) ** 2 <= 4 * (n - 1) ** n
+    assert len(_primes_for(62)) == len(_PRIMES)
 
 
 @pytest.mark.parametrize(
