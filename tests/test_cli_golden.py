@@ -39,6 +39,12 @@ CASES = {
     # two 9-vertex graphs and the 10-vertex corona of K_{1,4} break conj2
     "conjectures_conj2_counterexamples": ["conjectures", "--corpus",
                                           "{data}/conj2_counterexamples.g6"],
+    # the 11117 connected 8-vertex graphs: 51 sit within 1e-6 of a tight bound,
+    # where a last-bit or tie-break drift would show
+    "verify_connected8": ["verify", "--corpus", "{data}/connected8.g6"],
+    "conjectures_connected8": ["conjectures", "--corpus", "{data}/connected8.g6"],
+    "equality_main_connected8": ["equality", "--bound", "main", "--corpus",
+                                 "{data}/connected8.g6"],
     "report_triangle_json": ["report", "Bw"],
     "report_n10_csv": ["report", "I?qa`xjHW", "--format", "csv"],
     "report_n10_table": ["report", "I?qa`xjHW", "--format", "table"],
