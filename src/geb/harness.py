@@ -1,13 +1,17 @@
 """Corpus drivers: soundness verification, conjecture checks, equality search.
 
-Each driver folds chunks of graphs (eigenvalue solves and exact determinants
-batch across a chunk) into one CorpusSummary. One chunk loop serves every
-driver: it derives each graph's SpectralStats once, the BoundReport copies
-them, and every verdict reads that one record. verify checks the Grüss product-sum chain and identity
-directly, with ``gruss.energy_chain``'s arithmetic but without its vectors.
-Chunks may go to worker processes; the merge is commutative and the final
-lists are sorted, so the outcome is identical for any worker count and any
-chunk order.
+verify, conjectures and equality each fold chunks of graphs into one
+CorpusSummary, through one chunk loop. It solves the chunk's spectra and
+exact determinants in one batch each, and ``bounds.BoundTable`` evaluates
+every bound on them as a numpy column over the chunk. The verdicts are taken
+column-wise too: every invariant row, the Grüss product-sum chain and
+identity (``gruss.energy_chain``'s arithmetic, bit for bit, without its
+vectors) and the spectral moment rows are vector expressions, a least slack
+is an argmin with exact ties going to the smaller graph6, and violations and
+hits are masks. Only the graphs named in a verdict are encoded as graph6.
+Chunks may go to worker processes as (n, edge bitset) pairs; the merge is
+commutative and the final lists are sorted, so the outcome is identical for
+any worker count and any chunk order.
 """
 
 from __future__ import annotations
@@ -20,15 +24,17 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Iterable
 
-from .bounds import BoundReport, bound_report
+import numpy as np
+
+# bound_report, energy_chain and spectral_stats are not called here; they stay
+# importable from this module because perfbench/tracing.py's CALL_SITES patch them
+from .bounds import BoundTable, bound_report  # noqa: F401
 from .errors import ConvergenceFailure
 from .graph6 import write_graph6
 from .graphs import Graph, is_complete_bipartite
-# energy_chain is not called here: its one reader is the CALL_SITES entry
-# ("geb.harness", "energy_chain") of perfbench/tracing.py
 from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
-from .spectral import (DEFAULT_ZERO_TOL, Spectrum, determinants_exact, eigenvalues_batch,
-                       spectral_stats)
+from .spectral import (DEFAULT_ZERO_TOL, Spectrum, determinants_exact, eigenvalues_batch,  # noqa: F401
+                       sequential_sum, spectral_stats)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EQUALITY_EPS = 1e-7
@@ -93,110 +99,134 @@ class CorpusSummary:
         return self
 
 
-def _bound(summary: CorpusSummary, report: BoundReport, name: str, tol: float,
-           spec: Spectrum | None = None) -> float | None:
-    """Note one bound's slack as an extreme and flag it when below -tol.
+def _flag(summary: CorpusSummary, table: BoundTable, name: str, rows: np.ndarray,
+          a: np.ndarray, b: np.ndarray, detail: str | Callable[[int], str] | None) -> None:
+    """One ``name`` violation per row where ``rows`` holds, comparing columns a and b.
 
-    Returns the slack, or None when the bound does not apply. A ``spec``
-    puts the spectrum into the violation's detail.
+    ``detail`` is a string, or a function of the row index."""
+    for i in np.flatnonzero(rows).tolist():
+        summary.violations.append(Violation(table.graph6(i), name, float(a[i]), float(b[i]),
+                                            detail(i) if callable(detail) else detail))
+
+
+def _bound(summary: CorpusSummary, table: BoundTable, name: str, tol: float,
+           detail: Callable[[int], str] | None = None) -> np.ndarray:
+    """Note bound ``name``'s least slack and flag its slacks below -tol.
+
+    Both run over the rows where the bound applies, which are returned. The
+    least slack is an argmin; exact ties go to the smaller graph6.
     """
-    slack = getattr(report, "slack_" + name)
-    if slack is None:
-        return None
-    if slack < -tol:
-        detail = None
-        if spec is not None:
-            detail = "spectrum=[" + ", ".join(f"{v:.12g}" for v in spec.values) + "]"
-        summary.violations.append(
-            Violation(report.graph6, name, getattr(report, name), report.energy, detail)
-        )
-    summary.note_extreme(name, report.graph6, slack)
-    return slack
-
-
-def _invariants(r: BoundReport) -> list[tuple[str, float, float, float, str]]:
-    """Cross-bound invariants of a graph with edges: (name, a, b, margin, detail).
-
-    An invariant holds when its margin is nonnegative; a and b are the values
-    it compares.
-    """
-    assert r.main is not None and r.cor_nice is not None and r.amgm is not None
-    rows = [
-        ("chain:main_ge_cor_nice", r.main, r.cor_nice, r.main - r.cor_nice,
-         "main fell below cor_nice"),
-        ("chain:amgm_le_main", r.amgm, r.main, r.main - r.amgm, "amgm exceeded main"),
-    ]
-    if r.rank_bound is not None:
-        rows.append(("chain:rank_ge_main", r.rank_bound, r.main, r.rank_bound - r.main,
-                     "rank_bound fell below main"))
-    if r.is_triangle_free:
-        rows.append(("dominance:triangle_free", r.cor_nice, r.caporossi,
-                     r.cor_nice - r.caporossi, "cor_nice fell below caporossi"))
-    if r.is_connected and r.is_regular:
-        rows.append(("regular:gutman", r.cor_nice, float(r.n), -abs(r.cor_nice - r.n),
-                     "cor_nice differs from n on a regular graph"))
-    if r.is_connected:
-        assert r.epsilon is not None and r.beta is not None
-        rows += [
-            ("irregularity:beta_ge_eps", r.beta, r.epsilon, r.beta - r.epsilon,
-             "beta fell below epsilon"),
-            ("irregularity:eps_ge_1", r.epsilon, 1.0, r.epsilon - 1.0, "epsilon fell below 1"),
-        ]
+    rows, slack = table.applies[name], table.column["slack_" + name]
+    candidates = np.flatnonzero(rows & ~np.isnan(slack))
+    if candidates.size:
+        ties = candidates[slack[candidates] == slack[candidates].min()]
+        i = min(ties.tolist(), key=table.graph6)
+        summary.note_extreme(name, table.graph6(i), float(slack[i]))
+    _flag(summary, table, name, rows & (slack < -tol), table.column[name],
+          table.column["energy"], detail)
     return rows
 
 
-def _check_gruss_chain(summary: CorpusSummary, spec: Spectrum, report: BoundReport) -> None:
+def _invariants(table: BoundTable) -> list[tuple]:
+    """Cross-bound invariants as columns: (name, rows, a, b, margin, detail).
+
+    An invariant is checked on ``rows`` and holds where its margin is
+    nonnegative; a and b are the values it compares.
+    """
+    c, edged = table.column, table.applies["main"]
+    connected = edged & c["is_connected"]
+    main, cor, amgm, rank_bound = c["main"], c["cor_nice"], c["amgm"], c["rank_bound"]
+    eps, beta = c["epsilon"], c["beta"]
+    return [
+        ("chain:main_ge_cor_nice", edged, main, cor, main - cor, "main fell below cor_nice"),
+        ("chain:amgm_le_main", edged, amgm, main, main - amgm, "amgm exceeded main"),
+        ("chain:rank_ge_main", table.applies["rank_bound"], rank_bound, main, rank_bound - main,
+         "rank_bound fell below main"),
+        ("dominance:triangle_free", edged & c["is_triangle_free"], cor, c["caporossi"],
+         cor - c["caporossi"], "cor_nice fell below caporossi"),
+        ("regular:gutman", connected & c["is_regular"], cor, c["n"] * 1.0, -np.abs(cor - c["n"]),
+         "cor_nice differs from n on a regular graph"),
+        ("irregularity:beta_ge_eps", connected, beta, eps, beta - eps, "beta fell below epsilon"),
+        ("irregularity:eps_ge_1", connected, eps, np.ones_like(eps), eps - 1.0,
+         "epsilon fell below 1"),
+    ]
+
+
+def _check_gruss(summary: CorpusSummary, table: BoundTable) -> None:
     """Grüss chain P >= P_lower and identity P = E^2 - 2m, full and rank-restricted.
 
-    ``gruss.energy_chain``'s arithmetic, bit for bit; a chain row hides the identity row."""
-    g6, energy, lam = report.graph6, report.energy, report.lambda1
-    target = energy * energy - 2.0 * report.m
-    absvals = sorted((abs(v) for v in spec.values), reverse=True)
-    rows = (("", spec.n, report.t), (":restricted", report.rank, report.t_nz))
-    for suffix, k, small in rows if report.rank else rows[:1]:
-        P = sum(a * (energy - a) for a in absvals[:k])
+    ``gruss.energy_chain``'s arithmetic, bit for bit, on the graphs with an
+    edge: column k - 1 of the running sums is P over the k largest
+    |eigenvalues|, added left to right. A chain row hides the identity row.
+    """
+    c = table.column
+    energy, lam = c["energy"], c["lambda1"]
+    absvals = -np.sort(-np.abs(table.values), axis=1)
+    sums = np.cumsum(absvals * (energy[:, None] - absvals), axis=1)
+    target = energy * energy - 2.0 * c["m"]
+    perron = lam < absvals[:, 0] - _BOUND_SLACK  # BoundedVector's check: no |eigenvalue| > lambda1
+    nan = np.full(len(energy), math.nan)
+    for suffix, rows, k, small in (("", table.applies["main"], c["n"], c["t"]),
+                                   (":restricted", table.applies["rank_bound"], c["rank"], c["t_nz"])):
+        P = sums[np.arange(len(k)), k - 1]
         P_lower = energy * energy + k * lam * small - (lam + small) * energy
-        chain = None
-        if lam < absvals[0] - _BOUND_SLACK:  # BoundedVector's check: no |eigenvalue| > lambda1
-            chain = f"largest |eigenvalue| {absvals[0]} exceeds lambda1 {lam}"
-        elif P < P_lower - _CHAIN_TOL:
-            chain = f"product sum {P} fell below its lower bound {P_lower}"
-        if chain is not None:
-            summary.violations.append(
-                Violation(g6, "gruss:chain" + suffix, math.nan, energy, chain))
-        elif abs(P - target) > _GRUSS_IDENTITY_TOL:
-            summary.violations.append(
-                Violation(g6, "gruss:identity" + suffix, P, target, "P != E^2 - 2m"))
+
+        def chain_detail(i: int) -> str:
+            if perron[i]:
+                return f"largest |eigenvalue| {float(absvals[i, 0])} exceeds lambda1 {float(lam[i])}"
+            return f"product sum {float(P[i])} fell below its lower bound {float(P_lower[i])}"
+
+        chain = rows & (perron | (P < P_lower - _CHAIN_TOL))
+        _flag(summary, table, "gruss:chain" + suffix, chain, nan, energy, chain_detail)
+        _flag(summary, table, "gruss:identity" + suffix,
+              rows & ~chain & (np.abs(P - target) > _GRUSS_IDENTITY_TOL), P, target,
+              "P != E^2 - 2m")
 
 
-# Visitors: each gets (summary, graph, spectrum, report) plus its own settings.
+def _check_moments(summary: CorpusSummary, table: BoundTable) -> None:
+    """Spectral moments sum(lambda) = 0 and sum(lambda^3) = 6 triangles, on every graph.
 
-def _verify(summary, g, spec, report, tol: float) -> None:
+    Each holds for any graph, so a residual past the fixed tolerance means a
+    wrong spectrum, and costs only its graph.
+    """
+    values = table.values
+    for name, total, expected, detail in (
+        ("moment:sum", sequential_sum(values), np.zeros(len(values)), "sum of eigenvalues != 0"),
+        ("moment:cubes", sequential_sum(values * values * values), table.walks3,
+         "sum of cubed eigenvalues != 6 * triangles"),
+    ):
+        _flag(summary, table, name, np.abs(total - expected) > _GRUSS_IDENTITY_TOL, total,
+              expected, detail)
+
+
+# Visitors: each takes every verdict of one chunk's BoundTable, plus its own settings.
+
+def _verify(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
     for name in _PROVEN:
-        _bound(summary, report, name, tol)
-    if report.m >= 1:
-        for name, a, b, margin, detail in _invariants(report):
-            if margin < -tol:
-                summary.violations.append(Violation(report.graph6, name, a, b, detail))
-        _check_gruss_chain(summary, spec, report)
+        _bound(summary, table, name, tol)
+    for name, rows, a, b, margin, detail in _invariants(table):
+        _flag(summary, table, name, rows & (margin < -tol), a, b, detail)
+    _check_gruss(summary, table)
+    _check_moments(summary, table)
 
 
-def _conjectures(summary, g, spec, report, tol: float) -> None:
-    # bound_report sets both conjectures only on connected graphs with an edge
-    if _bound(summary, report, "conj1", tol, spec) is None:
-        summary.graphs_skipped += 1
-        return
-    _bound(summary, report, "conj2", tol, spec)
+def _conjectures(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
+    def spectrum(i: int) -> str:
+        return "spectrum=[" + ", ".join(f"{v:.12g}" for v in table.spectra[i].values) + "]"
+
+    # both conjectures apply on exactly the connected graphs with an edge
+    rows = _bound(summary, table, "conj1", tol, spectrum)
+    _bound(summary, table, "conj2", tol, spectrum)
+    summary.graphs_skipped += int(np.count_nonzero(~rows))
 
 
-def _equality(summary, g, spec, report, bound: str, eps: float) -> None:
-    slack = _bound(summary, report, bound, math.inf)  # a scan: nothing is a violation
-    if slack is None:
-        summary.graphs_skipped += 1
-    elif abs(slack) <= eps:
-        summary.equality_hits.append(
-            EqualityHit(report.graph6, bound, slack, is_complete_bipartite(g))
-        )
+def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float) -> None:
+    rows = _bound(summary, table, bound, math.inf)  # a scan: nothing is a violation
+    summary.graphs_skipped += int(np.count_nonzero(~rows))
+    slack = table.column["slack_" + bound]
+    for i in np.flatnonzero(rows & (np.abs(slack) <= eps)).tolist():
+        summary.equality_hits.append(EqualityHit(
+            table.graph6(i), bound, float(slack[i]), is_complete_bipartite(table.graphs[i])))
 
 
 def _spectra(graphs: list[Graph]) -> list[Spectrum | ConvergenceFailure]:
@@ -214,19 +244,28 @@ def _spectra(graphs: list[Graph]) -> list[Spectrum | ConvergenceFailure]:
 
 
 def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> CorpusSummary:
-    """Solve the chunk's spectra and determinants in one batch each and visit every graph once.
+    """Solve the chunk's spectra and determinants in one batch each, then visit its BoundTable.
 
     A graph whose solve does not converge is one ``solver:no_convergence`` violation.
     """
-    summary = CorpusSummary()
+    summary = CorpusSummary(graphs_seen=len(graphs))
+    solved = []
     for g, spec, det in zip(graphs, _spectra(graphs), determinants_exact(graphs)):
-        summary.graphs_seen += 1
         if isinstance(spec, ConvergenceFailure):
             summary.violations.append(
                 Violation(write_graph6(g), "solver:no_convergence", math.nan, math.nan, str(spec)))
-            continue
-        visit(summary, g, spec, bound_report(g, stats=spectral_stats(spec, zero_tol), det=det))
+        else:
+            solved.append((g, spec, det))
+    if solved:
+        graphs, spectra, dets = map(list, zip(*solved))
+        visit(summary, BoundTable(graphs, spectra, dets, zero_tol))
     return summary
+
+
+def _pair_chunk(visit: Callable[..., None], zero_tol: float,
+                pairs: list[tuple[int, int]]) -> CorpusSummary:
+    """``_chunk`` on graphs sent as (n, edge bitset) pairs, which pickle small."""
+    return _chunk(visit, zero_tol, [Graph(n, adj) for n, adj in pairs])
 
 
 def _run(
@@ -235,22 +274,23 @@ def _run(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1)
-    process = partial(_chunk, visit, zero_tol)
     source = iter(graphs)
     chunks = iter(lambda: list(islice(source, _CHUNK_SIZE)), [])
     summary = CorpusSummary()
     if workers == 1:
         for chunk in chunks:
-            summary.merge(process(chunk))
+            summary.merge(_chunk(visit, zero_tol, chunk))
     else:
         # two chunks per worker in flight at most, so memory stays bounded
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(process, chunk) for chunk in islice(chunks, 2 * workers)}
+            remote = partial(_pair_chunk, visit, zero_tol)
+            pairs = ([(g.n, g.adj) for g in chunk] for chunk in chunks)
+            pending = {pool.submit(remote, chunk) for chunk in islice(pairs, 2 * workers)}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     summary.merge(future.result())
-                    pending.update(pool.submit(process, chunk) for chunk in islice(chunks, 1))
+                    pending.update(pool.submit(remote, chunk) for chunk in islice(pairs, 1))
     return summary.finalize()
 
 

@@ -14,7 +14,8 @@ matrices at once, and ``eigenvalues_batch`` picks one by vertex count:
   reflections and about 53 bisection steps of n numpy steps each.
 
 Either way a matrix's eigenvalues do not depend on which other matrices
-share its batch.
+share its batch. ``spectral_columns`` derives the SpectralStats of many
+spectra at once, as numpy columns; ``spectral_stats`` is its row 0.
 
 Exact companions: ``determinants_exact`` takes a whole stack too. It
 eliminates it modulo one prime below 2**24 at a time, in float64 with every
@@ -170,26 +171,33 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _by_n(graphs: Sequence[Graph]) -> dict[int, list[int]]:
-    """The graphs' indices, grouped by vertex count."""
-    groups: dict[int, list[int]] = {}
-    for idx, g in enumerate(graphs):
-        groups.setdefault(g.n, []).append(idx)
-    return groups
+def group_by_n(sizes: Sequence[int] | np.ndarray) -> dict[int, list[int]]:
+    """The indices of a batch's vertex counts, grouped by count."""
+    sizes = np.asarray(sizes, dtype=np.int64)  # not np.unique: it imports numpy.ma on first use
+    return {n: np.flatnonzero(sizes == n).tolist() for n in dict.fromkeys(sizes.tolist())}
+
+
+def sequential_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, added left to right as Python's ``sum`` adds.
+
+    ``np.sum`` adds pairwise, which differs in the last bit from 8 terms on.
+    """
+    return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
 
 
 def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
-    """Spectra for many graphs at once (grouped internally by vertex count)."""
+    """Spectra for many graphs at once (grouped internally by vertex count).
+
+    The energy adds the absolute eigenvalues largest first.
+    """
     out: list[Spectrum | None] = [None] * len(graphs)
-    for n, indices in _by_n(graphs).items():
+    for n, indices in group_by_n([g.n for g in graphs]).items():
         stack = adjacency_stack(n, [graphs[i].adj for i in indices]).astype(float)
         solve = _jacobi_eigenvalues_stack if n <= _JACOBI_MAX_N else _tridiagonal_eigenvalues_stack
-        diags = solve(stack)
-        diags = -np.sort(-diags, axis=1)
-        for row, idx in enumerate(indices):
-            values = tuple(float(v) for v in diags[row])
-            energy = sum(sorted((abs(v) for v in values), reverse=True))
-            out[idx] = Spectrum(values, energy)
+        diags = -np.sort(-solve(stack), axis=1)
+        energies = sequential_sum(-np.sort(-np.abs(diags), axis=1))
+        for idx, values, energy in zip(indices, diags.tolist(), energies.tolist()):
+            out[idx] = Spectrum(tuple(values), energy)
     return out  # type: ignore[return-value]
 
 
@@ -198,21 +206,40 @@ def eigenvalues(g: Graph) -> Spectrum:
     return eigenvalues_batch([g])[0]
 
 
-def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralStats:
-    """Extract E, lambda_1, t, t_nz and the numerical rank."""
+def spectral_columns(
+    spectra: Sequence[Spectrum], zero_tol: float = DEFAULT_ZERO_TOL
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Many spectra as one array, and each SpectralStats field but zero_tol as a column.
+
+    The array holds one spectrum per row, zero-padded to the longest. Entry i
+    of a column belongs to ``spectra[i]``; t_nz is nan where the rank is 0.
+    """
     if not zero_tol > 0:  # also refuses NaN
         raise ValueError("zero_tol must be positive")
-    nonzero = [abs(v) for v in spec.values if abs(v) > zero_tol]
-    rank = len(nonzero)
-    t_nz = min(nonzero, default=None)
-    return SpectralStats(
-        energy=spec.energy,
-        lambda1=spec.values[0],
-        t=t_nz if rank == spec.n else 0.0,  # on singular spectra min abs is noise
-        t_nz=t_nz,
-        rank=rank,
-        zero_tol=zero_tol,
-    )
+    sizes = np.array([s.n for s in spectra], dtype=np.int64)
+    values = np.zeros((len(spectra), sizes.max(initial=1)))
+    for n, rows in group_by_n(sizes).items():
+        values[rows, :n] = [spectra[i].values for i in rows]
+    mags = np.abs(values)
+    nonzero = mags > zero_tol
+    rank = nonzero.sum(axis=1)
+    t_nz = np.where(nonzero, mags, np.inf).min(axis=1)
+    t_nz[rank == 0] = np.nan
+    return values, {
+        "energy": np.array([s.energy for s in spectra]),
+        "lambda1": values[:, 0],
+        "t": np.where(rank == sizes, t_nz, 0.0),  # on singular spectra min abs is noise
+        "t_nz": t_nz,
+        "rank": rank,
+    }
+
+
+def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralStats:
+    """Extract E, lambda_1, t, t_nz and the numerical rank: row 0 of ``spectral_columns``."""
+    row = {name: col.tolist()[0] for name, col in spectral_columns([spec], zero_tol)[1].items()}
+    if not row["rank"]:
+        row["t_nz"] = None
+    return SpectralStats(**row, zero_tol=zero_tol)
 
 
 # Primes below 2**24, largest first. With entries below 2p in absolute value,
@@ -293,7 +320,7 @@ def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
     Chinese remainder theorem into the symmetric residue.
     """
     out = [0] * len(graphs)
-    for n, indices in _by_n(graphs).items():
+    for n, indices in group_by_n([g.n for g in graphs]).items():
         primes = _primes_for(n)
         modulus = math.prod(primes)
         # batch last, so that every row operation runs over contiguous memory

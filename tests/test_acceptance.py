@@ -106,7 +106,7 @@ def test_criterion_4_dominance(announce):
         graphs = [g for g in corpus() if g.edge_count]
         specs = eigenvalues_batch(graphs)
         for g, spec in zip(graphs, specs):
-            r = bound_report(g, stats=spectral_stats(spec))
+            r = bound_report(g, spectrum=spec)
             assert r.main >= r.cor_nice - 1e-9, r.graph6
             if r.rank_bound is not None:
                 assert r.rank_bound >= r.main - 1e-9, r.graph6

@@ -1,11 +1,15 @@
-"""Closed-form checks for every energy bound and the per-graph report."""
+"""Closed-form checks for every energy bound, the per-graph report, and the bound table."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_graphs
 from geb.bounds import (
     BoundReport,
+    BoundTable,
     amgm_lower,
     bound_report,
     caporossi_lower,
@@ -19,16 +23,27 @@ from geb.bounds import (
     rank_lower,
 )
 from geb.errors import EmptyGraph
+from geb.graph6 import write_graph6
 from geb.graphs import (
     Graph,
     complete,
     complete_bipartite,
     cycle,
+    degree_sequence,
     from_edge_list,
+    is_connected,
+    is_regular,
+    is_triangle_free,
     path,
     petersen,
 )
-from geb.spectral import eigenvalues, spectral_stats
+from geb.spectral import (
+    DEFAULT_ZERO_TOL,
+    determinants_exact,
+    eigenvalues,
+    eigenvalues_batch,
+    spectral_stats,
+)
 
 SQRT2 = math.sqrt(2.0)
 SQRT6 = math.sqrt(6.0)
@@ -234,7 +249,7 @@ def test_report_slack_arithmetic():
 
 def test_report_accepts_precomputed_spectrum():
     g = cycle(6)
-    assert bound_report(g, stats=spectral_stats(eigenvalues(g))) == bound_report(g)
+    assert bound_report(g, spectrum=eigenvalues(g)) == bound_report(g)
 
 
 def test_report_field_order_matches_header():
@@ -252,3 +267,83 @@ def test_report_graph6_field_round_trips():
     for g in (petersen(), path(4), complete_bipartite(1, 3)):
         r = bound_report(g)
         assert parse_graph6(r.graph6) == g
+
+
+# --- the bound table against the scalar oracle ---------------------------------
+
+
+def reference_report(g, spec, det, zero_tol=DEFAULT_ZERO_TOL):
+    """One graph's report in Python floats and ``math``, field by field: the test oracle.
+
+    Its arithmetic is the per-graph code that BoundTable's columns replaced,
+    so the two must agree to the last bit.
+    """
+    n, m = g.n, g.edge_count
+    nonzero = [abs(v) for v in spec.values if abs(v) > zero_tol]
+    rank = len(nonzero)
+    t_nz = min(nonzero, default=None)
+    t = t_nz if rank == n else 0.0
+    lam, energy = spec.values[0], spec.energy
+    connected = is_connected(g)
+    mc_lo = mcclelland_lower(n, m, abs(det))  # per graph in BoundTable too
+    mc_hi = math.sqrt(2.0 * m * n)
+    cap = 2.0 * math.sqrt(m)
+
+    main = cor = am = rank_b = eps = beta = c1 = c2 = None
+    if m >= 1:
+        main = (2.0 * m + n * lam * t) / (lam + t)
+        cor = 2.0 * m / lam
+        am = math.sqrt(2.0 * m * n) * math.sqrt(4.0 * lam * t) / (lam + t) if t > 0 else 0.0
+        if t_nz is not None:
+            rank_b = (2.0 * m + rank * lam * t_nz) / (lam + t_nz)
+        degrees = degree_sequence(g)
+        edge_sum = sum(math.sqrt(degrees[i] * degrees[j]) for i, j in g.edges())
+        eps = n * edge_sum / (2.0 * m * m)
+        beta = lam * n / (2.0 * m)
+        if connected:
+            c1 = n / eps
+            c2 = 2.0 * m / math.sqrt(lam)
+
+    def lo_slack(bound):
+        return None if bound is None else energy - bound
+
+    return BoundReport(
+        graph6=write_graph6(g), n=n, m=m, is_connected=connected, is_regular=is_regular(g),
+        is_triangle_free=is_triangle_free(g), energy=energy, lambda1=lam, t=t, t_nz=t_nz,
+        rank=rank, det_abs=abs(det), mcclelland_lower=mc_lo, caporossi=cap, main=main,
+        cor_nice=cor, amgm=am, rank_bound=rank_b, conj1=c1, mcclelland_upper=mc_hi, conj2=c2,
+        epsilon=eps, beta=beta, slack_mcclelland_lower=energy - mc_lo,
+        slack_caporossi=energy - cap, slack_main=lo_slack(main), slack_cor_nice=lo_slack(cor),
+        slack_amgm=lo_slack(am), slack_rank_bound=lo_slack(rank_b), slack_conj1=lo_slack(c1),
+        slack_mcclelland_upper=mc_hi - energy, slack_conj2=None if c2 is None else c2 - energy,
+    )
+
+
+def assert_rows_match_oracle(graphs, zero_tol=DEFAULT_ZERO_TOL):
+    spectra, dets = eigenvalues_batch(graphs), determinants_exact(graphs)
+    table = BoundTable(graphs, spectra, dets, zero_tol)
+    for i, (g, spec, det) in enumerate(zip(graphs, spectra, dets)):
+        got, want = table.report(i).to_dict(), reference_report(g, spec, det, zero_tol).to_dict()
+        assert got == want, g
+        # the same None pattern, and Python scalars, not numpy ones
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()], g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(random_graphs(max_n=10), random_graphs(min_n=11, max_n=62)),
+                min_size=1, max_size=6))
+def test_table_rows_equal_the_scalar_oracle(graphs):
+    assert_rows_match_oracle(graphs)
+
+
+def test_table_rows_equal_the_scalar_oracle_on_families():
+    petersen_plus_isolated = Graph(12, petersen().adj)
+    families = (
+        [Graph(n, 0) for n in (1, 2, 5, 62)]                                  # edgeless
+        + [from_edge_list(4, [(0, 1), (2, 3)]), petersen_plus_isolated]       # disconnected
+        + [path(3), path(8), complete_bipartite(2, 3), complete_bipartite(31, 31)]  # singular
+        + [complete_bipartite(p, q) for p, q in ((1, 1), (1, 7), (3, 5), (20, 42))]
+        + [complete(n) for n in (2, 3, 8, 62)] + [cycle(n) for n in (5, 6, 61)] + [petersen()]
+    )
+    assert_rows_match_oracle(families)
+    assert_rows_match_oracle(families, zero_tol=0.5)  # nonzero eigenvalues counted as zero

@@ -232,33 +232,76 @@ def test_result_is_input_order_independent(monkeypatch):
 
 
 def test_each_graph_is_decoded_once(monkeypatch):
+    # reports and chunks read adjacency stacks: no bitset goes through the Python
+    # decode, except once for each equality hit's complete-bipartite check
     decoded = []
     decode = graphs._decode
     monkeypatch.setattr(graphs, "_decode", lambda g: decoded.append(id(g)) or decode(g))
 
-    g = Graph(10, petersen().adj)  # a fresh graph: nothing decoded yet
-    bound_report(g)
-    assert decoded == [id(g)]
-
+    bound_report(Graph(10, petersen().adj))  # a fresh graph: nothing decoded yet
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]  # may decode its own graphs
-    decoded.clear()
     run_verify(fresh)
-    assert sorted(decoded) == sorted(id(h) for h in fresh)
+    run_conjectures(fresh)
+    assert decoded == []
+
+    hits = {h.graph6 for h in run_equality(fresh, bound="cor_nice").equality_hits}
+    assert len(hits) == 2
+    assert sorted(decoded) == sorted(id(g) for g in fresh if write_graph6(g) in hits)
 
 
 @pytest.mark.parametrize("run", [run_verify, run_conjectures, partial(run_equality, bound="main")],
                          ids=["verify", "conjectures", "equality"])
 def test_each_graph_derives_its_spectral_stats_once(monkeypatch, run):
+    # one columnar derivation per chunk, covering each of its graphs once; none per graph
+    monkeypatch.setattr(harness, "_CHUNK_SIZE", 8)
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
-    calls = []
+    batches = []
+    derive = bounds.spectral_columns
+    monkeypatch.setattr(bounds, "spectral_columns",
+                        lambda spectra, *args: batches.append(list(spectra)) or derive(spectra, *args))
 
-    def counting(derive):
-        return lambda *args: calls.append(args[0]) or derive(*args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-graph SpectralStats was derived")
 
-    for module in (harness, bounds):
-        monkeypatch.setattr(module, "spectral_stats", counting(module.spectral_stats))
+    for module in (harness, bounds, spectral):
+        monkeypatch.setattr(module, "spectral_stats", refuse)
     run(fresh)
-    assert len(calls) == len(fresh)
+    assert [len(batch) for batch in batches] == [8, 8, 5]
+    assert [spec for batch in batches for spec in batch] == spectral.eigenvalues_batch(fresh)
+
+
+def test_in_chunk_ties_go_to_the_smaller_graph6(monkeypatch):
+    # two labelings of K_{1,3} given one identical spectrum tie on every slack
+    stars = [from_edge_list(4, [(c, v) for v in range(4) if v != c]) for c in (0, 3)]
+    spec = harness.eigenvalues_batch(stars[:1])[0]
+    monkeypatch.setattr(harness, "eigenvalues_batch", lambda graphs: [spec] * len(graphs))
+    names = sorted(write_graph6(g) for g in stars)
+    assert names[0] != names[1]
+    for corpus in (stars, stars[::-1]):
+        for summary in (run_verify(corpus), run_conjectures(corpus),
+                        run_equality(corpus, bound="main")):
+            assert summary.extremes
+            assert {ext.graph6 for ext in summary.extremes.values()} == {names[0]}
+
+
+def test_moment_rows_flag_a_perturbed_eigenvalue(monkeypatch):
+    solve = harness.eigenvalues_batch
+    c5 = write_graph6(cycle(5))
+
+    def perturbed(graphs):
+        """cycle(5) gets lambda1 = 2 + 1e-4, with its energy unchanged."""
+        out = solve(graphs)
+        for i, g in enumerate(graphs):
+            if g == cycle(5):
+                out[i] = Spectrum((out[i].values[0] + 1e-4,) + out[i].values[1:], out[i].energy)
+        return out
+
+    monkeypatch.setattr(harness, "eigenvalues_batch", perturbed)
+    summary = run_verify([path(4), cycle(5), petersen(), complete_bipartite(2, 3)])
+    assert {v.graph6 for v in summary.violations} == {c5}
+    moments = [(v.graph6, v.bound_name) for v in summary.violations
+               if v.bound_name.startswith("moment:")]
+    assert moments == [(c5, "moment:cubes"), (c5, "moment:sum")]
 
 
 @pytest.mark.parametrize("shift,names", [
@@ -353,10 +396,11 @@ def test_verify_builds_no_energy_chain(monkeypatch):
 # --- worker pool -----------------------------------------------------------------
 
 
-def inline_pool(monkeypatch, cpus):
+def inline_pool(monkeypatch, cpus, submitted=None):
     """Stand in for the process pool: run each task at submit, start no process.
 
-    Returns the list of ``max_workers`` values the pool was built with.
+    Returns the list of ``max_workers`` values the pool was built with. Each
+    task's positional arguments go to ``submitted``, when given.
     """
     sizes = []
 
@@ -365,6 +409,8 @@ def inline_pool(monkeypatch, cpus):
             sizes.append(max_workers)
 
         def submit(self, fn, /, *args, **kwargs):
+            if submitted is not None:
+                submitted.append(args)
             future = Future()
             future.set_result(fn(*args, **kwargs))
             return future
@@ -410,3 +456,18 @@ def test_pool_pulls_a_bounded_window_of_chunks(monkeypatch):
     summary = run_verify(corpus(), jobs=2)
     assert at_first_merge[0] <= (2 * 2 + 1) * 16  # two chunks in flight per worker
     assert pulled == summary.graphs_seen == 400
+
+
+def test_pool_sends_chunks_as_int_pairs(monkeypatch):
+    monkeypatch.setattr(harness, "_CHUNK_SIZE", 16)
+    submitted = []
+    inline_pool(monkeypatch, cpus=2, submitted=submitted)
+    corpus = small_corpus()  # enumerated graphs, which carry their decode memo
+    for run in (run_verify, run_conjectures, partial(run_equality, bound="main")):
+        submitted.clear()
+        pooled = run(corpus, jobs=2)
+        assert summaries_equal(pooled, run(corpus))
+        chunks = [chunk for (chunk,) in submitted]
+        assert [pair for chunk in chunks for pair in chunk] == [(g.n, g.adj) for g in corpus]
+        assert all(type(pair) is tuple and [type(x) for x in pair] == [int, int]
+                   for chunk in chunks for pair in chunk)
