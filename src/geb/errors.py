@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all geb modules."""
+"""Exception hierarchy shared by all geb modules.
+
+The eigensolver raises none of these: it always terminates, and the corpus
+drivers report a wrong spectrum as a verdict row, not as an exception.
+"""
 
 
 class GebError(Exception):
@@ -64,10 +68,6 @@ class NTooLargeForEnumeration(GebError, ValueError):
 
 
 # numerics
-
-class ConvergenceFailure(GebError, ArithmeticError):
-    """The Jacobi eigensolver (n <= 10; bisection above always ends) hit its sweep cap."""
-
 
 class InvariantViolation(GebError, ArithmeticError):
     """A mathematically guaranteed inequality failed numerically."""

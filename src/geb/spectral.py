@@ -1,28 +1,21 @@
 """Adjacency eigenvalues, derived spectral scalars, and exact integer checks.
 
-Two in-house eigensolvers take a whole stack of same-size symmetric
-matrices at once, and ``eigenvalues_batch`` picks one by vertex count:
-
-- n <= 10: a cyclic Jacobi iteration. Every rotation index (p, q) is applied
-  across the batch with per-matrix angles. A matrix leaves the stack in the
-  first sweep where its own off-diagonal Frobenius norm is below 1e-12 * n,
-  comfortably past the 1e-9 accuracy the downstream bound comparisons
-  assume. The golden transcripts pin its last-bit slacks, all at n <= 10.
-- n > 10: Householder reduction to tridiagonal form, then bisection of every
-  eigenvalue of the batch at once on Sturm counts (Barth, Martin & Wilkinson
-  1967). A Jacobi sweep is n(n-1)/2 numpy steps; this path takes n - 2
-  reflections and about 53 bisection steps of n numpy steps each.
-
-Either way a matrix's eigenvalues do not depend on which other matrices
-share its batch. ``spectral_columns`` derives the SpectralStats of many
-spectra at once, as numpy columns; ``spectral_stats`` is its row 0.
+One in-house eigensolver takes a whole stack of same-size symmetric matrices
+at once: Householder reduction to tridiagonal form, then bisection of every
+eigenvalue of the batch together on Sturm counts (Barth, Martin & Wilkinson
+1967). It takes n - 2 reflections and about 53 bisection steps of n numpy
+steps each, always terminates, and a matrix's eigenvalues do not depend on
+which other matrices share its batch. ``spectral_columns`` derives the
+SpectralStats of many spectra at once, as numpy columns; ``spectral_stats``
+is its row 0.
 
 Exact companions: ``determinants_exact`` takes a whole stack too. It
 eliminates it modulo one prime below 2**24 at a time, in float64 with every
 product exact, and joins the residues by the Chinese remainder theorem (von
-zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5); ``integer_rank``
-runs a division-free row echelon over Python ints. Both cross-check the
-floating spectrum.
+zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5); McClelland's
+lower bound reads them. ``integer_rank`` runs a division-free row echelon over
+Python ints. It is a library function that no command calls; the tests
+check the float rank against it.
 """
 
 from __future__ import annotations
@@ -33,14 +26,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure
 from .graphs import Graph, adjacency_stack
 
 DEFAULT_ZERO_TOL = 1e-8
-
-_OFF_NORM_FACTOR = 1e-12
-_MAX_SWEEPS = 60
-_JACOBI_MAX_N = 10  # the golden transcripts pin Jacobi's last bits, all at n <= 10
 
 
 @dataclass(frozen=True)
@@ -69,50 +57,6 @@ class SpectralStats:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     return adjacency_stack(g.n, [g.adj])[0].astype(float)
-
-
-def _jacobi_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (b, n, n) stack of symmetric matrices, unsorted."""
-    b, n, _ = a.shape
-    if n == 1:
-        return a[:, :, 0].copy()
-    out = np.empty((b, n))
-    active = np.arange(b)  # stack rows of the matrices still being rotated
-    threshold = (_OFF_NORM_FACTOR * n) ** 2
-    diag_idx = np.arange(n)
-    for _ in range(_MAX_SWEEPS):
-        sq = a * a
-        sq[:, diag_idx, diag_idx] = 0.0
-        done = sq.sum(axis=(1, 2)) < threshold
-        out[active[done]] = np.diagonal(a[done], axis1=1, axis2=2)
-        a, active = a[~done], active[~done]
-        if not len(active):
-            return out
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                nz = apq != 0.0
-                if not nz.any():
-                    continue
-                denom = np.where(nz, 2.0 * apq, 1.0)
-                with np.errstate(over="ignore"):
-                    theta = (a[:, q, q] - a[:, p, p]) / denom
-                    sign = np.where(theta < 0.0, -1.0, 1.0)
-                    t = sign / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-                t = np.where(nz, t, 0.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                cc = c[:, None]
-                ss = s[:, None]
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = cc * rp - ss * rq
-                a[:, q, :] = ss * rp + cc * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = cc * cp - ss * cq
-                a[:, :, q] = ss * cp + cc * cq
-    raise ConvergenceFailure(f"Jacobi did not reach tolerance in {_MAX_SWEEPS} sweeps")
 
 
 def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
@@ -193,8 +137,7 @@ def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
     out: list[Spectrum | None] = [None] * len(graphs)
     for n, indices in group_by_n([g.n for g in graphs]).items():
         stack = adjacency_stack(n, [graphs[i].adj for i in indices]).astype(float)
-        solve = _jacobi_eigenvalues_stack if n <= _JACOBI_MAX_N else _tridiagonal_eigenvalues_stack
-        diags = -np.sort(-solve(stack), axis=1)
+        diags = -np.sort(-_tridiagonal_eigenvalues_stack(stack), axis=1)
         energies = sequential_sum(-np.sort(-np.abs(diags), axis=1))
         for idx, values, energy in zip(indices, diags.tolist(), energies.tolist()):
             out[idx] = Spectrum(tuple(values), energy)

@@ -370,18 +370,6 @@ def test_perron_breach_costs_one_graph(monkeypatch):
     assert chain == [(p4, "gruss:chain"), (p4, "gruss:chain:restricted")]
 
 
-def test_solver_failure_costs_one_graph(monkeypatch):
-    # one Jacobi sweep cannot diagonalize Petersen; the edgeless graph needs none
-    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
-    edgeless, pet = write_graph6(Graph(5, 0)), write_graph6(petersen())
-    summary = run_verify([Graph(5, 0), petersen()])
-    assert summary.graphs_seen == 2
-    assert [(v.graph6, v.bound_name) for v in summary.violations] == [
-        (pet, "solver:no_convergence")]
-    assert "sweeps" in summary.violations[0].detail
-    assert {ext.graph6 for ext in summary.extremes.values()} == {edgeless}
-
-
 def test_verify_builds_no_energy_chain(monkeypatch):
     graphs = enumerate_connected(6)
     expected = run_verify(graphs)
