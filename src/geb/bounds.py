@@ -228,8 +228,8 @@ class BoundTable:
         self.graphs, self.spectra = graphs, spectra
         self.values, col = spectral_columns(spectra, zero_tol)
         b = len(graphs)
-        n = np.array([g.n for g in graphs])
-        m = np.array([g.edge_count for g in graphs])
+        n = np.array([g.n for g in graphs], dtype=np.int64)
+        m = np.array([g.edge_count for g in graphs], dtype=np.int64)
         regular, connected = np.empty(b, bool), np.empty(b, bool)
         self.walks3, root_sum = np.empty(b), np.empty(b)
         for size, rows in group_by_n(n).items():

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
@@ -258,7 +257,8 @@ def _run(
     if workers == 1:
         for chunk in chunks:
             summary.merge(_chunk(visit, zero_tol, chunk))
-    else:
+    else:  # imported here: a one-process run then loads no multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         # two chunks per worker in flight at most, so memory stays bounded
         with ProcessPoolExecutor(max_workers=workers) as pool:
             remote = partial(_pair_chunk, visit, zero_tol)

@@ -3,7 +3,8 @@
 One in-house eigensolver takes a whole stack of same-size symmetric matrices
 at once: Householder reduction to tridiagonal form, then bisection of every
 eigenvalue of the batch together on Sturm counts (Barth, Martin & Wilkinson
-1967). It takes n - 2 reflections and about 53 bisection steps of n numpy
+1967), with the batch on the last axis so that each numpy step runs along it.
+It takes n - 2 reflections and about 53 bisection steps of n numpy
 steps each, always terminates, and a matrix's eigenvalues do not depend on
 which other matrices share its batch. ``spectral_columns`` derives the
 SpectralStats of many spectra at once, as numpy columns; ``spectral_stats``
@@ -62,9 +63,12 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a (b, n, n) stack of symmetric matrices, unsorted.
 
-    Modifies ``a``. Householder reflections reduce each matrix to tridiagonal
-    form (diagonal d, off-diagonal e); then all b*n eigenvalues are bisected
-    together on LDL^T Sturm counts, as LAPACK ``dstebz`` does.
+    Householder reflections reduce each matrix to tridiagonal form, left in
+    ``a``'s diagonal d and subdiagonal e; then all b*n eigenvalues are bisected
+    together on LDL^T Sturm counts, as LAPACK ``dstebz`` does. The bisection
+    holds the batch on the last axis, so that each numpy step runs along a
+    contiguous row of it; each element sees the same IEEE operations, in the
+    same order, as in a loop with the batch first.
     """
     n = a.shape[1]
     for k in range(n - 2):
@@ -88,31 +92,35 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         w = p - (0.5 * tau * (p * v).sum(axis=1))[:, None] * v
         a22 -= v[:, :, None] * w[:, None, :] + w[:, :, None] * v[:, None, :]
     idx = np.arange(n)
-    d = a[:, idx, idx]
-    e2 = np.zeros_like(d)  # e2[:, i] = e_{i-1}^2, with e_{-1} = 0
-    e2[:, 1:] = a[:, idx[1:], idx[:-1]] ** 2
+    d = a[:, idx, idx].T.copy()  # from here on batch last: (n, b), and (b,) per row
+    e2 = np.zeros_like(d)  # e2[i] = e_{i-1}^2, with e_{-1} = 0
+    e2[1:] = a[:, idx[1:], idx[:-1]].T ** 2
     # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
-    r = np.abs(d).max(axis=1) + 2.0 * np.sqrt(e2.max(axis=1))
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=1))[:, None]
-    tol = (np.finfo(float).eps * np.maximum(1.0, r))[:, None]
-    hi = np.repeat(r[:, None], n, axis=1)
+    r = np.abs(d).max(axis=0) + 2.0 * np.sqrt(e2.max(axis=0))
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
+    tol = np.finfo(float).eps * np.maximum(1.0, r)
+    hi = np.repeat(r[None], n, axis=0)
     lo = -hi
+    clamp = -pivmin  # what a q with |q| < pivmin becomes
+    q, t, small = np.empty_like(hi), np.empty_like(hi), np.empty(hi.shape, dtype=bool)
     active = hi - lo > tol
     while active.any():
         mid = 0.5 * (lo + hi)
-        q = np.ones_like(mid)
         count = np.zeros(mid.shape, dtype=np.intp)  # eigenvalues below mid
+        np.subtract(d[0], mid, out=q)  # q_0: e2_0 / q_{-1} is 0.0 / 1.0, x - 0.0 is x, -0.0 too
         for i in range(n):
-            q = d[:, i : i + 1] - mid - e2[:, i : i + 1] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            if i:  # q_i = (d_i - mid) - e2_i / q_{i-1}
+                np.subtract(np.subtract(d[i], mid, out=t), np.divide(e2[i], q, out=q), out=q)
+            np.less(np.abs(q, out=t), pivmin, out=small)
+            np.copyto(q, clamp, where=small)
             count += q < 0.0
-        # column j holds the eigenvalue with j others below it; converged
+        # row j holds the eigenvalue with j others below it; converged
         # intervals stay frozen, so no result depends on its batch
-        upper = active & (count > idx)
+        upper = active & (count > idx[:, None])
         hi = np.where(upper, mid, hi)
         lo = np.where(active & ~upper, mid, lo)
         active = hi - lo > tol
-    return 0.5 * (lo + hi)
+    return (0.5 * (lo + hi)).T
 
 
 def group_by_n(sizes: Sequence[int] | np.ndarray) -> dict[int, list[int]]:

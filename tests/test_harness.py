@@ -1,13 +1,16 @@
 """Corpus drivers: summaries, gating, parallel determinism."""
 
+import concurrent.futures
 import itertools
 import os
+import subprocess
+import sys
 from functools import partial
 from concurrent.futures import Executor, Future
 
 import pytest
 
-from geb.bounds import bound_report
+from geb.bounds import BoundTable, bound_report
 from geb.enumeration import canonical_form, enumerate_connected
 from geb.graph6 import parse_graph6, write_graph6
 from geb.graphs import (
@@ -67,6 +70,17 @@ def test_verify_empty_corpus():
     assert summary.graphs_seen == 0
     assert summary.violations == []
     assert summary.extremes == {}
+
+
+@pytest.mark.parametrize("visit", [partial(harness._verify, tol=1e-9),
+                                   partial(harness._conjectures, tol=1e-9),
+                                   partial(harness._equality, bound="main", eps=1e-9)],
+                         ids=["verify", "conjectures", "equality"])
+def test_visitors_leave_an_empty_table_alone(visit):
+    # _run makes no empty chunk, but a table of zero graphs is still a table
+    summary = CorpusSummary()
+    visit(summary, BoundTable([], [], []))
+    assert summaries_equal(summary, CorpusSummary())
 
 
 def test_verify_negative_tol_forces_violations():
@@ -403,9 +417,19 @@ def inline_pool(monkeypatch, cpus, submitted=None):
             future.set_result(fn(*args, **kwargs))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return sizes
+
+
+def test_one_process_run_loads_no_multiprocessing():
+    # concurrent.futures loads its process pool lazily; only --jobs > 1 needs it
+    code = ("import sys, geb.cli; geb.cli.main(['verify', '--enumerate', '4']); "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+            "'concurrent.futures.process'))), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "[]\n"
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

@@ -4,8 +4,10 @@ numpy.linalg is used here purely as an independent oracle; the library code
 never calls it.
 """
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from geb.enumeration import enumerate_connected, enumerate_graphs
 from geb.graph6 import parse_graph6
 from geb.graphs import (
     Graph,
+    adjacency_stack,
     complete,
     complete_bipartite,
     cycle,
@@ -35,6 +38,7 @@ from geb.spectral import (
     determinants_exact,
     eigenvalues,
     eigenvalues_batch,
+    group_by_n,
     integer_rank,
     spectral_stats,
 )
@@ -181,6 +185,79 @@ def test_bisection_freezes_converged_intervals():
 
 def test_batch_of_empty_sequence():
     assert eigenvalues_batch([]) == []
+
+
+# --- bisection oracle: the batch-first loop ---------------------------------
+
+
+def row_major_bisection(d, e2):
+    """Bisection of (b, n) tridiagonals with the batch first, as the solver once ran it.
+
+    Each row's d and e2 are (b, 1) columns broadcast over the n intervals.
+    The solver now runs with the batch last, and must give the same bytes.
+    """
+    n = d.shape[1]
+    idx = np.arange(n)
+    r = np.abs(d).max(axis=1) + 2.0 * np.sqrt(e2.max(axis=1))
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=1))[:, None]
+    tol = (np.finfo(float).eps * np.maximum(1.0, r))[:, None]
+    hi = np.repeat(r[:, None], n, axis=1)
+    lo = -hi
+    active = hi - lo > tol
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        q = np.ones_like(mid)
+        count = np.zeros(mid.shape, dtype=np.intp)
+        for i in range(n):
+            q = d[:, i : i + 1] - mid - e2[:, i : i + 1] / q
+            q = np.where(np.abs(q) < pivmin, -pivmin, q)
+            count += q < 0.0
+        upper = active & (count > idx)
+        hi = np.where(upper, mid, hi)
+        lo = np.where(active & ~upper, mid, lo)
+        active = hi - lo > tol
+    return 0.5 * (lo + hi)
+
+
+def assert_bisection_matches_oracle(stack):
+    a = stack.astype(float)
+    ours = geb.spectral._tridiagonal_eigenvalues_stack(a)
+    idx = np.arange(a.shape[1])
+    d = a[:, idx, idx]  # the reduction leaves its tridiagonal form in a
+    e2 = np.zeros_like(d)
+    e2[:, 1:] = a[:, idx[1:], idx[:-1]] ** 2
+    assert ours.shape == d.shape
+    # by bytes: == would take -0.0 for 0.0
+    assert ours.tobytes() == row_major_bisection(d, e2).tobytes()
+
+
+@pytest.mark.parametrize("corpus", ["connected8.g6", "gnp_small.g6"])
+def test_bisection_matches_the_row_major_loop_on_corpora(data_dir, corpus):
+    with open(data_dir / corpus, encoding="ascii") as fh:
+        graphs = [parse_graph6(line) for line in fh]
+    for n, rows in group_by_n([g.n for g in graphs]).items():
+        stack = adjacency_stack(n, [graphs[i].adj for i in rows])
+        assert_bisection_matches_oracle(stack)
+        assert_bisection_matches_oracle(stack[:1])  # a batch of one
+
+
+def test_bisection_matches_the_row_major_loop_at_every_n():
+    rng = random.Random(13)
+    for n in range(1, 63):
+        bitsets = [0, (1 << (n * (n - 1) // 2)) - 1]  # edgeless and complete
+        bitsets += [rng.getrandbits(n * (n - 1) // 2) for _ in range(2)]
+        assert_bisection_matches_oracle(adjacency_stack(n, bitsets))
+    extremes = [Graph(62, 0), complete_bipartite(1, 61), complete_bipartite(31, 31)]
+    assert_bisection_matches_oracle(adjacency_stack(62, [g.adj for g in extremes]))
+    for g in extremes:
+        assert_bisection_matches_oracle(adjacency_stack(62, [g.adj]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=62).flatmap(
+    lambda n: st.lists(random_graphs(min_n=n, max_n=n), min_size=1, max_size=5)))
+def test_bisection_matches_the_row_major_loop_on_random_batches(graphs):
+    assert_bisection_matches_oracle(adjacency_stack(graphs[0].n, [g.adj for g in graphs]))
 
 
 # --- invariants over the full small corpus ---------------------------------
@@ -376,3 +453,35 @@ def test_spectrum_is_frozen():
     with pytest.raises(AttributeError):
         spec.energy = 0.0
     assert isinstance(spec, Spectrum)
+
+
+# --- numpy.linalg stays an oracle ------------------------------------------
+
+
+def linalg_uses(tree):
+    """The import statements, attributes and names of ``numpy.linalg`` in a module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.startswith("numpy.linalg"))
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            yield from (name for name in names if name.startswith("numpy.linalg"))
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield ast.unparse(node)
+        elif isinstance(node, ast.Constant) and node.value in ("linalg", "numpy.linalg"):
+            yield node.value
+
+
+def test_linalg_guard_sees_every_spelling():
+    for source in ("import numpy.linalg", "import numpy.linalg as la", "from numpy import linalg",
+                   "from numpy.linalg import eigvalsh", "np.linalg.eigvalsh(a)",
+                   "importlib.import_module('numpy.linalg')", "getattr(np, 'linalg')"):
+        assert list(linalg_uses(ast.parse(source))), source
+    assert not list(linalg_uses(ast.parse('"""numpy.linalg is the oracle."""\nimport numpy')))
+
+
+@pytest.mark.parametrize("module", sorted(Path(geb.spectral.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_library_never_uses_numpy_linalg(module):
+    # README: numpy.linalg appears only in the tests, as an independent oracle
+    assert list(linalg_uses(ast.parse(module.read_text(encoding="utf-8")))) == []
