@@ -1,12 +1,19 @@
 """Canonical labelings and exhaustive generation of small graphs.
 
-The canonical form of a graph is computed by relabeling vertices in
-ascending degree order and then taking, over every permutation that only
-shuffles vertices of equal degree, the lexicographically least upper-triangle
-bit string (most-significant bit first, column by column). Two graphs are
-isomorphic exactly when these bit strings agree: any isomorphism between two
-degree-sorted labelings must map each degree block onto itself, so the block
-permutations reach every degree-sorted labeling of the class.
+The canonical form of a graph is the lexicographically least upper-triangle
+bit string (most-significant bit first, column by column) over every
+labeling that lists the vertices in ascending degree order. Two graphs are
+isomorphic exactly when these bit strings agree: an isomorphism preserves
+degrees, so it carries the degree-sorted labelings of one graph onto those
+of the other. The least string is found position by position without
+walking every labeling. Column j holds the edges between position j and
+positions 0..j-1, so it depends only on the first j + 1 vertices placed; a
+prefix whose columns are not the least so far cannot begin the least
+string, and only the least prefixes are extended. Twins, vertices u and v
+with N(u) - {v} = N(v) - {u}, form equivalence classes of equal degree, and
+any permutation inside a class is an automorphism; so some least labeling
+places each class in ascending vertex order, and a vertex is placed only
+after its smaller twins. Without that rule every prefix of K_n ties.
 
 Generation builds the classes on n vertices from those on n - 1 (McKay 1998,
 *J. Algorithms* 26): each representative gains one new vertex in every way,
@@ -23,20 +30,18 @@ of the canonical bit string.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import Graph, adjacency_stack, msb_first, pair_count, pairs_in_order
+from .graphs import Graph, adjacency_stack, msb_first, pair_count
 
 MAX_CANONICAL_N = 10
 MAX_ENUMERATION_N = 8
 
-_PERM_SLAB = 10_000  # bitsets x permutations relabeled per numpy step
+_SLAB = 1000  # candidate extensions canonicalized per numpy step
 
 
 @dataclass(frozen=True)
@@ -59,52 +64,34 @@ def _pack_bits(n: int, value: int) -> bytes:
     return (value << (8 * nbytes - length)).to_bytes(nbytes, "big")
 
 
-def _degree_blocks(degrees: Sequence[int]) -> list[range]:
-    """Contiguous runs of equal degree in an ascending degree list."""
-    blocks = []
-    start = 0
-    for i in range(1, len(degrees) + 1):
-        if i == len(degrees) or degrees[i] != degrees[start]:
-            blocks.append(range(start, i))
-            start = i
-    return blocks
-
-
-def _iter_block_perms(blocks: Sequence[range]) -> Iterator[tuple[int, ...]]:
-    """All vertex permutations fixing each block setwise (new -> old), lazily."""
-    if len(blocks) == 1:
-        yield from itertools.permutations(blocks[0])
-        return
-    for head in itertools.permutations(blocks[0]):
-        for tail in _iter_block_perms(blocks[1:]):
-            yield head + tail
-
-
-def _degree_sorted(masks: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Ascending degrees, and the bitset after relabeling vertices in that order."""
-    order = sorted(range(len(masks)), key=lambda v: masks[v].bit_count())
-    bits = 0
-    for k, (i, j) in enumerate(pairs_in_order(len(masks))):
-        bits |= (masks[order[j]] >> order[i] & 1) << k
-    return tuple(masks[v].bit_count() for v in order), bits
-
-
-def _least_relabelings(n: int, degrees: tuple[int, ...], bitsets: list[int]) -> list[int]:
-    """Least MSB-first bit string of each degree-sorted bitset (all with these
-    ascending ``degrees``) over the permutations inside each degree block."""
-    length = pair_count(n)
-    i, j = np.array(pairs_in_order(n)).T
-    adj = adjacency_stack(n, bitsets).astype(np.int64)
-    best = np.full(len(bitsets), 1 << length, dtype=np.int64)  # above every value
-    perms = _iter_block_perms(_degree_blocks(degrees))
-    slab = max(1, _PERM_SLAB // len(bitsets))
-    for chunk in iter(lambda: list(itertools.islice(perms, slab)), []):
-        p = np.array(chunk, dtype=np.int64).T
-        packed = np.zeros((len(bitsets), len(chunk)), dtype=np.int64)
-        for k in range(length):  # pair k = (i, j) after relabeling is (p[i], p[j]) before
-            packed |= adj[:, p[i[k]], p[j[k]]] << (length - 1 - k)
-        np.minimum(best, packed.min(axis=1), out=best)
-    return best.tolist()
+def _canonical_bits(stack: np.ndarray) -> np.ndarray:
+    """Least MSB-first, column-by-column bit string of each 0/1 matrix in the
+    (C, n, n) ``stack`` over its degree-respecting labelings, as C int64s."""
+    count, n, _ = stack.shape
+    adj = stack.astype(np.int16)  # columns and vertex sets stay below 2**n <= 2**10
+    vertex = np.arange(n, dtype=np.int16)
+    bit = 1 << vertex
+    degree = adj.sum(axis=2)
+    wanted = np.sort(degree, axis=1)
+    masks = adj @ bit
+    twin = (masks[:, :, None] & ~bit) == (masks[:, None, :] & ~bit[:, None])  # [c, u, v]
+    below = twin & (vertex[:, None] < vertex)  # u is a smaller twin of v
+    need = np.where(below, bit[:, None], 0).sum(axis=1, dtype=np.int16)  # placed before v
+    graph = np.arange(count)  # the graph of each kept prefix, ascending
+    placed = np.zeros(count, dtype=np.int16)  # vertices in each prefix, as a bitset
+    column = np.zeros((count, n), dtype=np.int16)  # next column if v comes next
+    best = np.zeros(count, dtype=np.int64)
+    for j in range(n):  # place position j; 1 << n is above every column
+        free = (placed[:, None] & (need[graph] | bit)) == need[graph]
+        value = np.where(free & (degree[graph] == wanted[graph, j, None]), column, 1 << n)
+        starts = np.flatnonzero(np.diff(graph, prepend=-1))
+        least = np.minimum.reduceat(value.min(axis=1), starts)
+        best = best << j | least
+        k, v = np.nonzero(value == least[graph, None])  # the prefixes that tie for least
+        graph = graph[k]
+        placed = placed[k] | bit[v]
+        column = column[k] << 1 | adj[graph, v]
+    return best
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -114,10 +101,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise NTooLargeForCanonicalization(
             f"canonical form supports at most {MAX_CANONICAL_N} vertices, got {n}"
         )
-    if n == 1:
-        return CanonicalForm(1, _pack_bits(1, 0))
-    degrees, bits = _degree_sorted(g.neighbor_masks())
-    return CanonicalForm(n, _pack_bits(n, _least_relabelings(n, degrees, [bits])[0]))
+    return CanonicalForm(n, _pack_bits(n, int(_canonical_bits(adjacency_stack(n, [g.adj]))[0])))
 
 
 @lru_cache(maxsize=None)
@@ -125,16 +109,17 @@ def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
     """One canonically labeled representative per class on n vertices."""
     if n == 1:
         return (Graph(1, 0),)
-    new = n - 1
-    groups: dict[tuple[int, ...], set[int]] = {}
-    for rep in _classes(new, connected):
-        masks = rep.neighbor_masks()
-        for nbrs in range(1 if connected else 0, 1 << new):
-            ext = [m | (nbrs >> v & 1) << new for v, m in enumerate(masks)] + [nbrs]
-            degrees, bits = _degree_sorted(ext)
-            groups.setdefault(degrees, set()).add(bits)
-    found = {best for degrees, members in groups.items()
-             for best in _least_relabelings(n, degrees, list(members))}
+    parents = adjacency_stack(n - 1, [rep.adj for rep in _classes(n - 1, connected)])
+    hoods = np.arange(1 if connected else 0, 1 << (n - 1))
+    hood_rows = (hoods[:, None] >> np.arange(n - 1) & 1).astype(np.uint8)
+    total = len(parents) * len(hoods)
+    found: set[int] = set()
+    for start in range(0, total, _SLAB):
+        c = np.arange(start, min(start + _SLAB, total))
+        stack = np.zeros((len(c), n, n), dtype=np.uint8)
+        stack[:, :-1, :-1] = parents[c // len(hoods)]
+        stack[:, -1, :-1] = stack[:, :-1, -1] = hood_rows[c % len(hoods)]
+        found.update(_canonical_bits(stack).tolist())
     return tuple(Graph(n, msb_first(n, best)) for best in sorted(found))
 
 

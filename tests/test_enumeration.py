@@ -1,15 +1,19 @@
-"""Canonical forms and exhaustive enumeration, checked against a naive oracle.
+"""Canonical forms and exhaustive enumeration, checked against two oracles.
 
-The oracle canonicalizes by brute force over all n! vertex permutations of
-the edge set; the library canonicalizes via degree-partition pruning. For
-n <= 5 the two pipelines must produce identical isomorphism classes, not
-just identical counts.
+The naive oracle canonicalizes by brute force over all n! vertex
+permutations of the edge set; for n <= 5 it and the library must produce
+identical isomorphism classes, not just identical counts. The block
+permutation oracle walks every labeling that sorts vertices by degree, as
+the library once did; the library's least-prefix search, which prunes
+non-least prefixes and orders twin vertices, must give the same bits.
 """
 
 import itertools
 import random
 import tracemalloc
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,18 +22,21 @@ from geb.cli import main
 from geb.errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
 from geb.graphs import (
     Graph,
+    adjacency_stack,
     complete,
     complete_bipartite,
     cycle,
     from_edge_list,
     is_connected,
     pair_count,
+    pairs_in_order,
     path,
+    petersen,
 )
 from geb.graph6 import write_graph6
 from geb.enumeration import (
     CanonicalForm,
-    _iter_block_perms,
+    _canonical_bits,
     canonical_form,
     enumerate_connected,
     enumerate_graphs,
@@ -98,15 +105,17 @@ def test_enumerate_command_rebuilds_connected8(data_dir, tmp_path, capsys):
     assert capsys.readouterr().out == f"11117 graphs written to {out}\n"
 
 
-def test_block_permutations_are_generated_lazily():
-    tracemalloc.start()
-    try:
-        first = next(_iter_block_perms([range(9)]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert first == tuple(range(9))
-    assert peak < 1 << 20  # all 9! permutations would take tens of MB
+def test_canonical_search_runs_in_bounded_memory():
+    # without the twin rule all 10! prefixes of K10 and of the edgeless graph
+    # would tie; Petersen has no twins, so only the pruning bounds its search
+    for g in (complete(10), Graph(10, 0), complete_bipartite(5, 5), petersen()):
+        tracemalloc.start()
+        try:
+            canonical_form(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_enumerate_rejects_out_of_range():
@@ -211,3 +220,73 @@ def test_random_spot_membership():
         g = Graph(5, mask)
         if is_connected(g):
             assert canonical_form(g) in reps
+
+
+@lru_cache(maxsize=None)
+def all_orders(k):
+    """The k! orders of range(k), as rows."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.intp).reshape(-1, k)
+
+
+def block_labelings(blocks):
+    """Every vertex order that permutes each block in place, in chunks of rows.
+
+    A block's first len - 8 places come from Python and the rest from
+    ``all_orders``, so no chunk holds more than a few 8! rows.
+    """
+    if not blocks:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    block, *others = blocks
+    for head in itertools.permutations(block, max(0, len(block) - 8)):
+        rest = np.array([v for v in block if v not in head], dtype=np.intp)
+        tails = rest[all_orders(len(rest))]
+        orders = np.hstack([np.tile(np.array(head, dtype=np.intp), (len(tails), 1)), tails])
+        for tail in block_labelings(others):
+            yield np.hstack([np.repeat(orders, len(tail), axis=0), np.tile(tail, (len(orders), 1))])
+
+
+def block_permutation_oracle(g):
+    """Least MSB-first bit string of ``g`` over every labeling that lists its
+    vertices in ascending degree order, found by walking them all: the
+    canonicalizer before the least-prefix search."""
+    n = g.n
+    degree = [mask.bit_count() for mask in g.neighbor_masks()]
+    order = sorted(range(n), key=degree.__getitem__)
+    blocks = [tuple(block) for _, block in itertools.groupby(order, key=degree.__getitem__)]
+    flat = adjacency_stack(n, [g.adj])[0].ravel().astype(np.int64)
+    best = 1 << pair_count(n)
+    for labels in block_labelings(blocks):
+        labels = labels.T  # labels[new] = old vertex, one column per labeling
+        value = np.zeros(labels.shape[1], dtype=np.int64)
+        for i, j in pairs_in_order(n):
+            value = value << 1 | flat[labels[i] * n + labels[j]]
+        best = min(best, int(value.min()))
+    return packed_bytes(n, best)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_block_permutation_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << pair_count(n)) - 1)))
+    assert canonical_form(g).bits == block_permutation_oracle(g)
+
+
+@pytest.mark.parametrize("g", [cycle(10), complete_bipartite(5, 5), petersen(), complete(10),
+                               Graph(10, 0)], ids=["C10", "K5,5", "petersen", "K10", "edgeless"])
+def test_one_block_graphs_match_block_permutation_oracle(g):
+    # each has one degree block, so the oracle walks all 10! labelings
+    assert canonical_form(g).bits == block_permutation_oracle(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_bits_of_a_mixed_stack_equal_one_graph_results(data):
+    n = data.draw(st.integers(min_value=1, max_value=10))
+    fixtures = [0, (1 << pair_count(n)) - 1] + ([petersen().adj] if n == 10 else [])
+    bitsets = fixtures + data.draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << pair_count(n)) - 1), max_size=6))
+    bitsets = data.draw(st.permutations(bitsets))
+    together = _canonical_bits(adjacency_stack(n, bitsets)).tolist()
+    assert together == [int(_canonical_bits(adjacency_stack(n, [b]))[0]) for b in bitsets]
