@@ -4,19 +4,19 @@ One in-house eigensolver takes a whole stack of same-size symmetric matrices
 at once: Householder reduction to tridiagonal form, then bisection of every
 eigenvalue of the batch together on Sturm counts (Barth, Martin & Wilkinson
 1967), with the batch on the last axis so that each numpy step runs along it.
-It takes n - 2 reflections and about 53 bisection steps of n numpy
-steps each, always terminates, and a matrix's eigenvalues do not depend on
-which other matrices share its batch. ``spectral_columns`` derives the
-SpectralStats of many spectra at once, as numpy columns; ``spectral_stats``
-is its row 0.
+It takes n - 2 reflections and about 53 bisection steps of n row steps, each
+eight numpy calls on contiguous (n, b) operands of one shape. It always
+terminates, and a matrix's eigenvalues do not depend on which other matrices
+share its batch. ``spectral_columns`` derives the SpectralStats of many
+spectra at once, as numpy columns; ``spectral_stats`` is its row 0.
 
 Exact companions: ``determinants_exact`` takes a whole stack too. It
 eliminates it modulo one prime below 2**24 at a time, in float64 with every
-product exact, and joins the residues by the Chinese remainder theorem (von
-zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5); McClelland's
-lower bound reads them. ``integer_rank`` runs a division-free row echelon over
-Python ints. It is a library function that no command calls; the tests
-check the float rank against it.
+product exact, with as many primes as Hadamard's row-norm bound needs, and
+joins the residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 5); McClelland's lower bound reads them.
+``integer_rank`` runs a division-free row echelon over Python ints. It is a
+library function that no command calls; tests check the float rank against it.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Graph, adjacency_stack
+from .graphs import MAX_VERTICES, Graph, adjacency_stack
 
 DEFAULT_ZERO_TOL = 1e-8
+_COUNT = np.min_scalar_type(MAX_VERTICES)  # the bisection's Sturm counts, 0..n
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,10 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     Householder reflections reduce each matrix to tridiagonal form, left in
     ``a``'s diagonal d and subdiagonal e; then all b*n eigenvalues are bisected
     together on LDL^T Sturm counts, as LAPACK ``dstebz`` does. The bisection
-    holds the batch on the last axis, so that each numpy step runs along a
-    contiguous row of it; each element sees the same IEEE operations, in the
-    same order, as in a loop with the batch first.
+    holds the batch on the last axis, and lays d, e^2 and the per-matrix
+    scalars out once in the (n, b) shape of the intervals, so that each numpy
+    step runs over contiguous operands of one shape; each element sees the
+    same IEEE operations, in the same order, as in a loop with the batch first.
     """
     n = a.shape[1]
     for k in range(n - 2):
@@ -92,31 +94,34 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         w = p - (0.5 * tau * (p * v).sum(axis=1))[:, None] * v
         a22 -= v[:, :, None] * w[:, None, :] + w[:, :, None] * v[:, None, :]
     idx = np.arange(n)
-    d = a[:, idx, idx].T.copy()  # from here on batch last: (n, b), and (b,) per row
+    d = a[:, idx, idx].T.copy()  # from here on batch last: (n, b)
     e2 = np.zeros_like(d)  # e2[i] = e_{i-1}^2, with e_{-1} = 0
     e2[1:] = a[:, idx[1:], idx[:-1]].T ** 2
     # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
     r = np.abs(d).max(axis=0) + 2.0 * np.sqrt(e2.max(axis=0))
     pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
     tol = np.finfo(float).eps * np.maximum(1.0, r)
-    hi = np.repeat(r[None], n, axis=0)
-    lo = -hi
-    clamp = -pivmin  # what a q with |q| < pivmin becomes
-    q, t, small = np.empty_like(hi), np.empty_like(hi), np.empty(hi.shape, dtype=bool)
+    # no row step broadcasts: each per-matrix scalar is repeated over the n
+    # intervals as an (n, b) array, and each row of d and e2 as an (n, n, b) stack
+    hi, pivmin, tol = (np.repeat(x[None], n, axis=0) for x in (r, pivmin, tol))
+    d, e2 = (np.repeat(x[:, None], n, axis=1) for x in (d, e2))
+    lo, clamp = -hi, -pivmin  # clamp: what a q with |q| < pivmin becomes
+    rank = np.broadcast_to(idx[:, None], hi.shape).astype(_COUNT)
+    q, t, small, count = (np.empty(hi.shape, dtype=x) for x in (float, float, bool, _COUNT))
     active = hi - lo > tol
     while active.any():
         mid = 0.5 * (lo + hi)
-        count = np.zeros(mid.shape, dtype=np.intp)  # eigenvalues below mid
+        count.fill(0)  # eigenvalues below mid
         np.subtract(d[0], mid, out=q)  # q_0: e2_0 / q_{-1} is 0.0 / 1.0, x - 0.0 is x, -0.0 too
         for i in range(n):
             if i:  # q_i = (d_i - mid) - e2_i / q_{i-1}
                 np.subtract(np.subtract(d[i], mid, out=t), np.divide(e2[i], q, out=q), out=q)
             np.less(np.abs(q, out=t), pivmin, out=small)
             np.copyto(q, clamp, where=small)
-            count += q < 0.0
+            count += np.less(q, 0.0, out=small).view(_COUNT)
         # row j holds the eigenvalue with j others below it; converged
         # intervals stay frozen, so no result depends on its batch
-        upper = active & (count > idx[:, None])
+        upper = active & (count > rank)
         hi = np.where(upper, mid, hi)
         lo = np.where(active & ~upper, mid, lo)
         active = hi - lo > tol
@@ -198,13 +203,15 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
 _PRIMES = (16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121)
 
 
-def _primes_for(n: int) -> tuple[int, ...]:
-    """The fewest leading primes whose product exceeds 2 (n-1)^(n/2).
+def _primes_for(sq_norms: np.ndarray) -> tuple[int, ...]:
+    """The fewest leading primes whose product exceeds 2 prod_i |row_i| for every matrix.
 
-    (n-1)^(n/2) is Hadamard's bound on |det| for n rows of at most n - 1
-    ones, so the product of the primes pins a symmetric residue to det.
+    ``sq_norms`` holds the squared row norms (for 0/1 rows, the row sums) of b
+    matrices as an (n, b) array. By Hadamard's inequality |det| is at most the
+    product of the row norms, so the product of the primes pins a symmetric
+    residue to det. The factor 1 + 2^-40 covers the float product's rounding.
     """
-    bound = 4 * (n - 1) ** n  # both sides squared
+    bound = 4 * np.prod(sq_norms, axis=0, dtype=float).max() * (1 + 2**-40)  # both sides squared
     k = next(k for k in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > bound)
     return _PRIMES[:k]
 
@@ -217,31 +224,31 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
     det = sign * prod p_k / prod p_k^(n-1-k) = sign * P_{n-1} / (P_0 ... P_{n-2})
     with P_k = p_0 ... p_k. After each update every entry x is reduced to
     x - p floor(x * (1/p)); that float quotient is off by less than 1, so the
-    result lies in [-p, 2p). One working stack and one temporary of its size
-    serve every prime.
+    result lies in [-p, 2p). Step k writes the trailing block to a contiguous
+    (m, m, b) buffer, two taking turns, so that every full-size step runs on
+    contiguous operands of one shape. They and one temporary serve every prime.
     """
     n, _, b = stack.shape
-    a = np.empty(stack.shape)
-    tmp = np.empty(stack.size)
+    first, (second, tmp) = np.empty(stack.size), np.empty((2, (n - 1) ** 2 * b))
     cols = np.arange(b)
     for p in primes:
         inv = 1.0 / p
+        a = first.reshape(stack.shape)  # at step k: rows and columns k to n - 1
         a[...] = stack
         prefix = np.ones(b)  # P_k
         denom = np.ones(b)   # P_0 ... P_{k-1}
         sign = np.ones(b, dtype=np.int64)
         for k in range(n):
-            col = a[k:, k]
-            nonzero = (col != 0.0) & (np.abs(col) != p)
+            nonzero = (a[:, 0] != 0.0) & (np.abs(a[:, 0]) != p)
             below = nonzero.argmax(axis=0)  # 0 (no swap) when the column is 0 mod p
             swap = below > 0
             if swap.any():
-                rows, which = below[swap] + k, cols[swap]
-                top = a[k, :, which]
-                a[k, :, which] = a[rows, :, which]
+                rows, which = below[swap], cols[swap]
+                top = a[0, :, which]
+                a[0, :, which] = a[rows, :, which]
                 a[rows, :, which] = top
                 sign[swap] = -sign[swap]
-            pivot = a[k, k]  # 0 mod p when the column is: then so is det
+            pivot = a[0, 0]  # 0 mod p when the column is: then so is det
             prefix = prefix * pivot
             prefix -= p * np.floor(prefix * inv)
             if k == n - 1:
@@ -249,14 +256,16 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
             denom = denom * prefix
             denom -= p * np.floor(denom * inv)
             m = n - 1 - k
-            sub, t = a[k + 1 :, k + 1 :], tmp[: m * m * b].reshape(m, m, b)
-            sub *= pivot
-            np.multiply(a[k + 1 :, k, None], a[None, k, k + 1 :], out=t)
+            sub = (first if k % 2 else second)[: m * m * b].reshape(m, m, b)
+            t = tmp[: m * m * b].reshape(m, m, b)
+            np.multiply(a[1:, 1:], np.repeat(pivot[None], m, axis=0), out=sub)
+            np.einsum("ib,jb->ijb", a[1:, 0], a[0, 1:], out=t)
             sub -= t
             np.multiply(sub, inv, out=t)
             np.floor(t, out=t)
             t *= p
             sub -= t
+            a = sub
         # Fermat's inverse; a zero denominator only comes with a zero numerator
         yield [s * num * pow(den, p - 2, p) % p
                for s, num, den in zip(sign.tolist(), prefix.astype(np.int64).tolist(),
@@ -267,16 +276,16 @@ def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
     """Exact adjacency determinants of many graphs at once (grouped by vertex count).
 
     Each group's stack is eliminated modulo one prime at a time, with as many
-    primes as Hadamard's bound needs, and the residues are joined by the
-    Chinese remainder theorem into the symmetric residue.
+    primes as Hadamard's row-norm bound needs, and the residues are joined by
+    the Chinese remainder theorem into the symmetric residue.
     """
     out = [0] * len(graphs)
     for n, indices in group_by_n([g.n for g in graphs]).items():
-        primes = _primes_for(n)
-        modulus = math.prod(primes)
         # batch last, so that every row operation runs over contiguous memory
         stack = np.ascontiguousarray(
             adjacency_stack(n, [graphs[i].adj for i in indices]).transpose(1, 2, 0))
+        primes = _primes_for(stack.sum(axis=0))
+        modulus = math.prod(primes)
         total = [0] * len(indices)
         for p, residues in zip(primes, _determinants_mod(stack, primes)):
             cofactor = modulus // p

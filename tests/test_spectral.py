@@ -7,6 +7,7 @@ never calls it.
 import ast
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,13 @@ import geb.spectral
 from geb.enumeration import enumerate_connected, enumerate_graphs
 from geb.graph6 import parse_graph6
 from geb.graphs import (
+    MAX_VERTICES,
     Graph,
     adjacency_stack,
     complete,
     complete_bipartite,
     cycle,
+    pair_count,
     path,
     petersen,
     triangle_count,
@@ -253,6 +256,15 @@ def test_bisection_matches_the_row_major_loop_at_every_n():
         assert_bisection_matches_oracle(adjacency_stack(62, [g.adj]))
 
 
+def test_sturm_counts_fit_every_vertex_count():
+    # the bisection counts the eigenvalues below each midpoint, up to n, in a
+    # narrow integer type
+    assert np.iinfo(geb.spectral._COUNT).max >= MAX_VERTICES
+    spec = eigenvalues(complete(MAX_VERTICES))
+    assert close(spec.values[0], MAX_VERTICES - 1)
+    assert all(close(v, -1.0) for v in spec.values[1:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=62).flatmap(
     lambda n: st.lists(random_graphs(min_n=n, max_n=n), min_size=1, max_size=5)))
@@ -401,16 +413,45 @@ def is_prime(p):
     return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
+def degrees(graphs):
+    """The (n, b) row sums of same-size graphs: their squared row norms."""
+    return adjacency_stack(graphs[0].n, [g.adj for g in graphs]).sum(axis=1).T
+
+
 def test_primes_cover_the_hadamard_bound():
     assert all(is_prime(p) and p < 2**24 for p in _PRIMES)
     assert len(set(_PRIMES)) == len(_PRIMES)
+    rng = random.Random(15)
     for n in range(1, 63):
-        primes = _primes_for(n)
-        # prod p > 2 (n-1)^(n/2), squared; one prime fewer would not do (at
-        # n = 1 the bound is 0 and no prime is needed)
-        assert math.prod(primes) ** 2 > 4 * (n - 1) ** n
-        assert not primes or math.prod(primes[:-1]) ** 2 <= 4 * (n - 1) ** n
-    assert len(_primes_for(62)) == len(_PRIMES)
+        x, y = rng.getrandbits(pair_count(n)), rng.getrandbits(pair_count(n))
+        graphs = [Graph(n, x & y), Graph(n, x), Graph(n, x | y), complete(n)]
+        for g in graphs:
+            # prod p > 2 prod sqrt(d_i), squared; one prime fewer would not do
+            # (a graph with an isolated vertex has bound 0 and needs no prime)
+            bound = 4 * math.prod(degrees([g]).ravel().tolist())
+            primes = _primes_for(degrees([g]))
+            assert math.prod(primes) ** 2 > bound
+            assert not primes or math.prod(primes[:-1]) ** 2 <= bound
+        # a group takes the primes of its worst matrix, K_n, whose bound is
+        # 2 (n-1)^(n/2) as when the count depended on n alone
+        by_n = next(k for k in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > 4 * (n - 1) ** n)
+        assert _primes_for(degrees(graphs)) == _primes_for(degrees([complete(n)])) == _PRIMES[:by_n]
+    assert _primes_for(degrees([complete(62)])) == _PRIMES
+
+
+def test_kernels_peak_memory_at_62_vertices():
+    # each kernel holds about three float64 stacks at once, reused across steps
+    rng = random.Random(256)
+    graphs = [Graph(62, rng.getrandbits(pair_count(62))) for _ in range(256)]
+    stack_bytes = 62 * 62 * 256 * 8
+    for kernel in (determinants_exact, eigenvalues_batch):
+        tracemalloc.start()
+        try:
+            kernel(graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * stack_bytes, (kernel.__name__, peak / stack_bytes)
 
 
 @pytest.mark.parametrize(
