@@ -177,7 +177,7 @@ class BoundReport:
     t: float
     t_nz: float | None
     rank: int
-    det_abs: int             # exact, from spectral.determinants_exact's modular elimination
+    det_abs: int             # exact, from spectral.determinants_exact (float64 Bareiss, then primes)
     mcclelland_lower: float
     caporossi: float
     main: float | None

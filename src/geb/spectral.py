@@ -10,11 +10,13 @@ terminates, and a matrix's eigenvalues do not depend on which other matrices
 share its batch. ``spectral_columns`` derives the SpectralStats of many
 spectra at once, as numpy columns; ``spectral_stats`` is its row 0.
 
-Exact companions: ``determinants_exact`` takes a whole stack too. It
-eliminates it modulo one prime below 2**24 at a time, in float64 with every
-product exact, with as many primes as Hadamard's row-norm bound needs, and
-joins the residues by the Chinese remainder theorem (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 5); McClelland's lower bound reads them.
+Exact companions: ``determinants_exact`` takes a whole stack too. Its first
+18 fraction-free elimination steps (Bareiss 1968) run once, in float64, where
+every value is a 0/1 minor small enough to be exact. From 20 vertices on, the
+trailing block is eliminated modulo one prime below 2**24 at a time, with as
+many primes as Hadamard's row-norm bound needs, and the residues are joined by
+the Chinese remainder theorem (von zur Gathen & Gerhard, *Modern Computer
+Algebra*, ch. 5); McClelland's lower bound reads them.
 ``integer_rank`` runs a division-free row echelon over Python ints. It is a
 library function that no command calls; tests check the float rank against it.
 """
@@ -202,6 +204,13 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
 # an update p_k * x - a * y stays below 8p**2 < 2**51: exact in float64.
 _PRIMES = (16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121)
 
+# Bareiss steps run in float64 before any prime. After s steps every entry is
+# an (s + 1)-minor of a 0/1 matrix, at most M_(s+1), M_k = (k + 1)^((k + 1)/2) / 2^k,
+# so each numerator is below 2 M_18^2 < 2**46: exact, as is each quotient. The
+# 18th pivot, at most M_18 < 2**22.4, is below every prime: invertible mod each
+# unless 0. M_19 > 2**24 breaks that.
+_EXACT_STEPS = 18
+
 
 def _primes_for(sq_norms: np.ndarray) -> tuple[int, ...]:
     """The fewest leading primes whose product exceeds 2 prod_i |row_i| for every matrix.
@@ -216,38 +225,76 @@ def _primes_for(sq_norms: np.ndarray) -> tuple[int, ...]:
     return _PRIMES[:k]
 
 
+def _swap_in_pivots(a: np.ndarray, nonzero: np.ndarray, sign: np.ndarray) -> None:
+    """In each (m, m) matrix, swap the first row ``nonzero`` flags into row 0 and flip the sign."""
+    below = nonzero.argmax(axis=0)  # 0 (no swap) when no row qualifies
+    swap = below > 0
+    if swap.any():
+        rows, which = below[swap], np.flatnonzero(swap)
+        top = a[0, :, which]
+        a[0, :, which] = a[rows, :, which]
+        a[rows, :, which] = top
+        sign[swap] = -sign[swap]
+
+
+def _bareiss_steps(stack: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``steps`` Bareiss steps on an (n, n, b) 0/1 stack, in float64.
+
+    Step k swaps a nonzero pivot into row 0 of the trailing block and replaces
+    the rest, S with column c and row r, by (pivot S - c r^T) / previous pivot,
+    an exact integer (see ``_EXACT_STEPS``), in buffers laid out as in
+    ``_determinants_mod``. Returns the (m, m, b) block left, each matrix's
+    row-swap sign and its last pivot P: by Sylvester's identity
+    det(block) = sign * det * P^(m - 1). A zero pivot leaves a zero block
+    (det 0), and the next step divides by 1.
+    """
+    n, _, b = stack.shape
+    first, (second, tmp) = np.empty(stack.size), np.empty((2, (n - 1) ** 2 * b))
+    a = first.reshape(stack.shape)
+    a[...] = stack
+    sign = np.ones(b, dtype=np.int64)
+    pivot = divisor = np.ones(b)
+    for k in range(steps):
+        _swap_in_pivots(a, a[:, 0] != 0.0, sign)
+        pivot = a[0, 0].copy()  # a's buffer is overwritten by the next step
+        m = n - 1 - k
+        sub = (first if k % 2 else second)[: m * m * b].reshape(m, m, b)
+        t = tmp[: m * m * b].reshape(m, m, b)
+        np.multiply(a[1:, 1:], np.repeat(pivot[None], m, axis=0), out=sub)
+        np.einsum("ib,jb->ijb", a[1:, 0], a[0, 1:], out=t)
+        sub -= t
+        sub /= np.repeat(divisor[None], m, axis=0)
+        divisor = np.where(pivot == 0.0, 1.0, pivot)
+        a = sub
+    return a, sign, pivot
+
+
 def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list[int]]:
-    """For each prime p, det mod p in [0, p) of every matrix of an (n, n, b) 0/1 stack.
+    """For each prime p, det mod p in [0, p) of every matrix of an (n, n, b) integer stack.
 
     Division-free elimination: row_i <- p_k row_i - a_ik row_k multiplies
     det by p_k once for each of the n - 1 - k rows below pivot k, so
     det = sign * prod p_k / prod p_k^(n-1-k) = sign * P_{n-1} / (P_0 ... P_{n-2})
-    with P_k = p_0 ... p_k. After each update every entry x is reduced to
-    x - p floor(x * (1/p)); that float quotient is off by less than 1, so the
-    result lies in [-p, 2p). Step k writes the trailing block to a contiguous
-    (m, m, b) buffer, two taking turns, so that every full-size step runs on
-    contiguous operands of one shape. They and one temporary serve every prime.
+    with P_k = p_0 ... p_k. The entries (integers below 2**51 in absolute
+    value), and each update, are reduced to x - p floor(x * (1/p)); that float
+    quotient is off by less than 1, so the result lies in [-p, 2p). Step k
+    writes the trailing block to a contiguous (m, m, b) buffer, two taking
+    turns, so that every full-size step runs on contiguous operands of one
+    shape. They and one temporary serve every prime.
     """
     n, _, b = stack.shape
     first, (second, tmp) = np.empty(stack.size), np.empty((2, (n - 1) ** 2 * b))
-    cols = np.arange(b)
     for p in primes:
         inv = 1.0 / p
         a = first.reshape(stack.shape)  # at step k: rows and columns k to n - 1
-        a[...] = stack
+        np.floor(np.multiply(stack, inv, out=a), out=a)
+        a *= -p
+        a += stack
         prefix = np.ones(b)  # P_k
         denom = np.ones(b)   # P_0 ... P_{k-1}
         sign = np.ones(b, dtype=np.int64)
         for k in range(n):
-            nonzero = (a[:, 0] != 0.0) & (np.abs(a[:, 0]) != p)
-            below = nonzero.argmax(axis=0)  # 0 (no swap) when the column is 0 mod p
-            swap = below > 0
-            if swap.any():
-                rows, which = below[swap], cols[swap]
-                top = a[0, :, which]
-                a[0, :, which] = a[rows, :, which]
-                a[rows, :, which] = top
-                sign[swap] = -sign[swap]
+            _swap_in_pivots(a, (a[:, 0] != 0.0) & (np.abs(a[:, 0]) != p), sign)
             pivot = a[0, 0]  # 0 mod p when the column is: then so is det
             prefix = prefix * pivot
             prefix -= p * np.floor(prefix * inv)
@@ -272,28 +319,42 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
                                       denom.astype(np.int64).tolist())]
 
 
-def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
-    """Exact adjacency determinants of many graphs at once (grouped by vertex count).
+def _stack_determinants(stack: np.ndarray) -> list[int]:
+    """Exact determinants of an (n, n, b) 0/1 stack, batch last.
 
-    Each group's stack is eliminated modulo one prime at a time, with as many
-    primes as Hadamard's row-norm bound needs, and the residues are joined by
-    the Chinese remainder theorem into the symmetric residue.
+    Below 20 vertices the float64 Bareiss steps leave a 1 x 1 block, sign * det,
+    and no prime runs. From 20 on, the trailing (n - 18)^2 block is eliminated
+    modulo as many primes as Hadamard's bound on the original rows needs; each
+    residue is divided by the 18th pivot to the power n - 19 (Sylvester), and
+    the Chinese remainder theorem joins them into the symmetric residue.
     """
+    block, sign, pivot = _bareiss_steps(stack, min(len(stack) - 1, _EXACT_STEPS))
+    m = len(block)
+    if m == 1:
+        return (sign * block[0, 0].astype(np.int64)).tolist()
+    primes = _primes_for(stack.sum(axis=0))
+    modulus = math.prod(primes)
+    signs, pivots = sign.tolist(), pivot.astype(np.int64).tolist()
+    total = [0] * len(signs)
+    for p, residues in zip(primes, _determinants_mod(block, primes)):
+        cofactor = modulus // p
+        basis = cofactor * pow(cofactor, -1, p)  # 1 mod p, 0 mod the others
+        # det = sign det(block) / P^(m - 1); a pivot of 0 leaves a residue of 0
+        total = [t + s * r * pow(q or 1, 1 - m, p) * basis
+                 for t, s, r, q in zip(total, signs, residues, pivots)]
+    return [t - modulus if 2 * t > modulus else t for t in (t % modulus for t in total)]
+
+
+def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
+    """Exact adjacency determinants of many graphs at once (grouped by vertex count)."""
     out = [0] * len(graphs)
     for n, indices in group_by_n([g.n for g in graphs]).items():
-        # batch last, so that every row operation runs over contiguous memory
+        # batch last, so that every row operation runs over contiguous memory;
+        # a call per group frees its buffers before the next group allocates
         stack = np.ascontiguousarray(
             adjacency_stack(n, [graphs[i].adj for i in indices]).transpose(1, 2, 0))
-        primes = _primes_for(stack.sum(axis=0))
-        modulus = math.prod(primes)
-        total = [0] * len(indices)
-        for p, residues in zip(primes, _determinants_mod(stack, primes)):
-            cofactor = modulus // p
-            basis = cofactor * pow(cofactor, -1, p)  # 1 mod p, 0 mod the others
-            total = [t + r * basis for t, r in zip(total, residues)]
-        for idx, t in zip(indices, total):
-            t %= modulus
-            out[idx] = t - modulus if 2 * t > modulus else t
+        for idx, det in zip(indices, _stack_determinants(stack)):
+            out[idx] = det
     return out
 
 

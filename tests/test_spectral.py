@@ -8,6 +8,8 @@ import ast
 import math
 import random
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +28,14 @@ from geb.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    from_edge_list,
     pair_count,
     path,
     petersen,
     triangle_count,
 )
 from geb.spectral import (
+    _EXACT_STEPS,
     _PRIMES,
     DEFAULT_ZERO_TOL,
     Spectrum,
@@ -393,7 +397,7 @@ def cycle_determinant(n):
     return 2 if n % 2 else (0 if n % 4 == 0 else -4)
 
 
-@pytest.mark.parametrize("n", [11, 20, 40, 62])
+@pytest.mark.parametrize("n", [11, 18, 19, 20, 21, 40, 62])
 def test_determinant_closed_forms(n):
     cases = [
         (complete(n), (-1) ** (n - 1) * (n - 1)),
@@ -407,6 +411,52 @@ def test_determinant_closed_forms(n):
     graphs, dets = zip(*cases)
     assert determinants_exact(list(graphs)) == list(dets)
     assert [determinant_exact(g) for g in graphs] == list(dets)
+
+
+
+def test_complete_graph_determinants_in_one_batch():
+    sizes = range(1, MAX_VERTICES + 1)
+    assert determinants_exact([complete(n) for n in sizes]) == [(-1) ** (n - 1) * (n - 1) for n in sizes]
+
+
+def singular_early(n, rng):
+    """Singular graphs whose elimination can meet a zero pivot column within its float64 steps."""
+    edges = [(i, j) for i in range(2, n) for j in range(i + 1, n) if rng.random() < 0.5]
+    shared = [j for j in range(2, n) if rng.random() < 0.5]
+    return [
+        from_edge_list(n, edges + [(1, j) for j in shared]),  # vertex 0 isolated
+        from_edge_list(n, edges + [(v, j) for j in shared for v in (0, 1)]),  # twins 0 and 1
+        from_edge_list(n, [(i, n - 1) for i in range(n - 1)]),  # a star, its centre last
+    ]
+
+
+@pytest.mark.parametrize("n", [10, 19, 20, 21, 40, 62])
+def test_determinants_with_zero_pivots_raise_no_float_warnings(n):
+    # a zero pivot must leave a zero block, never reach a division
+    rng = random.Random(n)
+    graphs = singular_early(n, rng) + [Graph(n, rng.getrandbits(pair_count(n))) for _ in range(4)]
+    graphs += [complete(n), cycle(n), path(n)]
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = determinants_exact(graphs)
+    assert dets == [bareiss_determinant(g) for g in graphs]
+    assert dets[:3] == [0, 0, 0]
+
+
+def minor_bound_squared(k):
+    """M_k^2 for M_k = (k + 1)^((k + 1)/2) / 2^k, Hadamard's bound on |det| of a k x k 0/1 matrix."""
+    return Fraction((k + 1) ** (k + 1), 4**k)
+
+
+def test_exact_steps_stay_exact_and_below_every_prime():
+    # step s's numerator, pivot S - c r, is a difference of products of s-minors
+    assert all(minor_bound_squared(k) < minor_bound_squared(k + 1) for k in range(1, 62))
+    assert 2 * minor_bound_squared(_EXACT_STEPS) < 2**53
+    # the last pivot, a leading _EXACT_STEPS-minor, is invertible mod every prime
+    assert minor_bound_squared(_EXACT_STEPS) < min(_PRIMES) ** 2
+    # one step more could not promise that: 18 is the most that works
+    assert minor_bound_squared(_EXACT_STEPS + 1) >= min(_PRIMES) ** 2
+    assert _EXACT_STEPS == 18
 
 
 def is_prime(p):
