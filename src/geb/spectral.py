@@ -4,10 +4,11 @@ One in-house eigensolver takes a whole stack of same-size symmetric matrices
 at once: Householder reduction to tridiagonal form, then bisection of every
 eigenvalue of the batch together on Sturm counts (Barth, Martin & Wilkinson
 1967), with the batch on the last axis so that each numpy step runs along it.
-It takes n - 2 reflections and about 53 bisection steps of n row steps, each
-eight numpy calls on contiguous (n, b) operands of one shape. It always
-terminates, and a matrix's eigenvalues do not depend on which other matrices
-share its batch. ``spectral_columns`` derives the SpectralStats of many
+It takes n - 2 reflections on (m, b) and (m, m, b) operands, whose sums
+replay numpy's pairwise summation order, and about 53 bisection steps of n
+row steps, each a few numpy calls on contiguous (n, b) operands of one shape.
+It always terminates, and a matrix's eigenvalues do not depend on which other
+matrices share its batch. ``spectral_columns`` derives the SpectralStats of many
 spectra at once, as numpy columns; ``spectral_stats`` is its row 0.
 
 Exact companions: ``determinants_exact`` takes a whole stack too. Its first
@@ -63,42 +64,82 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return adjacency_stack(g.n, [g.adj])[0].astype(float)
 
 
-def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a (b, n, n) stack of symmetric matrices, unsorted.
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, in the order ``np.sum`` adds a contiguous last axis.
 
-    Householder reflections reduce each matrix to tridiagonal form, left in
-    ``a``'s diagonal d and subdiagonal e; then all b*n eigenvalues are bisected
-    together on LDL^T Sturm counts, as LAPACK ``dstebz`` does. The bisection
-    holds the batch on the last axis, and lays d, e^2 and the per-matrix
+    For 8 to 128 terms numpy keeps eight running sums over blocks of 8, joins
+    them as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), adds the
+    remaining terms left to right and adds that to its starting 0.0 (which
+    turns -0.0 into 0.0); fewer terms it adds left to right. numpy adds at
+    most 7 terms left to right in any layout, so no call here reduces more:
+    that holds for len(x) <= 63. The trailing terms take a call each: reduced
+    with the running sum, they could make 8 terms, which numpy adds pairwise.
+    """
+    k = len(x) - len(x) % 8
+    if not k:
+        return x.sum(axis=0) + 0.0
+    r = x[:k].reshape(k // 8, 8, *x.shape[1:]).sum(axis=0)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    s = r[0] + r[1]
+    for row in x[k:]:
+        s += row
+    return s + 0.0
+
+
+def _reduce_to_tridiagonal(a: np.ndarray) -> None:
+    """Householder-reduce each matrix of an (n, n, b) symmetric stack in place.
+
+    The diagonal d and subdiagonal e are left in ``a``; the rest of the lower
+    triangle is workspace. Every reflection runs on (m, b) and (m, m, b)
+    operands. Each sum is ``_pairwise_sum``, which rounds as ``np.sum`` along
+    a contiguous row does, so each matrix's arithmetic is that of a loop with
+    the batch first. The trailing block stays exactly symmetric (each update
+    adds v_i w_j + w_i v_j, the same float as entry (j, i)), so the matvec
+    sums over its rows. The two work buffers are freed on return, before the
+    bisection allocates its own.
+    """
+    n, _, b = a.shape
+    work = np.empty((2, (n - 1) ** 2 * b))
+    for k in range(n - 2):
+        m = n - 1 - k
+        x = a[k + 1 :, k]
+        # v is built from x scaled to max |x_i| = 1: columns of rounding
+        # noise (1e-16, then 1e-32, ...) would otherwise underflow v.v
+        scale = np.abs(x).max(axis=0)
+        v = x / np.where(scale > 0.0, scale, 1.0)
+        tail = _pairwise_sum(v[1:] * v[1:])
+        reflect = tail > 0.0  # else column k is already tridiagonal
+        alpha = -np.copysign(np.sqrt(v[0] * v[0] + tail), v[0])
+        v[0] -= alpha
+        vv = np.maximum(_pairwise_sum(v * v), 1.0)  # v.v >= 1 whenever reflect
+        tau = np.where(reflect, 2.0 / vv, 0.0)
+        a[k + 1, k] = np.where(reflect, alpha * scale, x[0])
+        # A22 <- H A22 H with H = I - tau v v^T, as a rank-2 update
+        a22 = a[k + 1 :, k + 1 :]
+        prod, outer = (buf[: m * m * b].reshape(m, m, b) for buf in work)
+        p = tau * _pairwise_sum(np.multiply(a22, v[:, None], out=prod))
+        w = p - (0.5 * tau * _pairwise_sum(p * v)) * v
+        np.multiply(v[:, None], w, out=outer)  # v_i w_j
+        a22 -= np.add(outer, outer.transpose(1, 0, 2), out=prod)  # v_i w_j + w_i v_j
+
+
+def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an (n, n, b) batch-last stack of symmetric matrices, as (b, n), unsorted.
+
+    ``_reduce_to_tridiagonal`` leaves each matrix's tridiagonal form in ``a``;
+    then all b*n eigenvalues are bisected together on LDL^T Sturm counts, as
+    LAPACK ``dstebz`` does. The bisection lays d, e^2 and the per-matrix
     scalars out once in the (n, b) shape of the intervals, so that each numpy
     step runs over contiguous operands of one shape; each element sees the
     same IEEE operations, in the same order, as in a loop with the batch first.
     """
-    n = a.shape[1]
-    for k in range(n - 2):
-        x = a[:, k + 1 :, k]
-        # v is built from x scaled to max |x_i| = 1: columns of rounding
-        # noise (1e-16, then 1e-32, ...) would otherwise underflow v.v
-        scale = np.abs(x).max(axis=1)
-        v = x / np.where(scale > 0.0, scale, 1.0)[:, None]
-        tail = (v[:, 1:] * v[:, 1:]).sum(axis=1)
-        reflect = tail > 0.0  # else column k is already tridiagonal
-        alpha = -np.copysign(np.sqrt(v[:, 0] * v[:, 0] + tail), v[:, 0])
-        v[:, 0] -= alpha
-        vv = np.maximum((v * v).sum(axis=1), 1.0)  # v.v >= 1 whenever reflect
-        tau = np.where(reflect, 2.0 / vv, 0.0)
-        a[:, k + 1, k] = np.where(reflect, alpha * scale, x[:, 0])
-        # A22 <- H A22 H with H = I - tau v v^T, as a rank-2 update; the
-        # matvec is a product and a last-axis sum so that each matrix's
-        # arithmetic is the same in any batch
-        a22 = a[:, k + 1 :, k + 1 :]
-        p = tau[:, None] * (a22 * v[:, None, :]).sum(axis=2)
-        w = p - (0.5 * tau * (p * v).sum(axis=1))[:, None] * v
-        a22 -= v[:, :, None] * w[:, None, :] + w[:, :, None] * v[:, None, :]
+    n = len(a)
+    _reduce_to_tridiagonal(a)
     idx = np.arange(n)
-    d = a[:, idx, idx].T.copy()  # from here on batch last: (n, b)
+    d = a[idx, idx]  # (n, b)
     e2 = np.zeros_like(d)  # e2[i] = e_{i-1}^2, with e_{-1} = 0
-    e2[1:] = a[:, idx[1:], idx[:-1]].T ** 2
+    e2[1:] = a[idx[1:], idx[:-1]] ** 2
     # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
     r = np.abs(d).max(axis=0) + 2.0 * np.sqrt(e2.max(axis=0))
     pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
@@ -109,24 +150,28 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     d, e2 = (np.repeat(x[:, None], n, axis=1) for x in (d, e2))
     lo, clamp = -hi, -pivmin  # clamp: what a q with |q| < pivmin becomes
     rank = np.broadcast_to(idx[:, None], hi.shape).astype(_COUNT)
-    q, t, small, count = (np.empty(hi.shape, dtype=x) for x in (float, float, bool, _COUNT))
-    active = hi - lo > tol
+    q, t, mid = (np.empty(hi.shape) for _ in range(3))
+    small, active = (np.empty(hi.shape, dtype=bool) for _ in range(2))
+    count = np.empty(hi.shape, dtype=_COUNT)  # eigenvalues below mid
+    np.greater(hi - lo, tol, out=active)
     while active.any():
-        mid = 0.5 * (lo + hi)
-        count.fill(0)  # eigenvalues below mid
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)  # mid = 0.5 * (lo + hi)
         np.subtract(d[0], mid, out=q)  # q_0: e2_0 / q_{-1} is 0.0 / 1.0, x - 0.0 is x, -0.0 too
         for i in range(n):
             if i:  # q_i = (d_i - mid) - e2_i / q_{i-1}
                 np.subtract(np.subtract(d[i], mid, out=t), np.divide(e2[i], q, out=q), out=q)
             np.less(np.abs(q, out=t), pivmin, out=small)
             np.copyto(q, clamp, where=small)
-            count += np.less(q, 0.0, out=small).view(_COUNT)
+            if i:
+                count += np.less(q, 0.0, out=small).view(_COUNT)
+            else:  # the count starts from row 0's signs
+                np.less(q, 0.0, out=count.view(bool))
         # row j holds the eigenvalue with j others below it; converged
         # intervals stay frozen, so no result depends on its batch
         upper = active & (count > rank)
         hi = np.where(upper, mid, hi)
-        lo = np.where(active & ~upper, mid, lo)
-        active = hi - lo > tol
+        lo = np.where(active ^ upper, mid, lo)  # upper is within active
+        np.greater(np.subtract(hi, lo, out=t), tol, out=active)
     return (0.5 * (lo + hi)).T
 
 
@@ -134,6 +179,18 @@ def group_by_n(sizes: Sequence[int] | np.ndarray) -> dict[int, list[int]]:
     """The indices of a batch's vertex counts, grouped by count."""
     sizes = np.asarray(sizes, dtype=np.int64)  # not np.unique: it imports numpy.ma on first use
     return {n: np.flatnonzero(sizes == n).tolist() for n in dict.fromkeys(sizes.tolist())}
+
+
+def _stacks_by_n(graphs: Sequence[Graph], dtype: type) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per vertex count, the graphs' indices and their (n, n, b) adjacency stack.
+
+    Batch last and contiguous, so that every row operation runs over
+    contiguous memory; a kernel call per group frees its buffers before the
+    next group allocates.
+    """
+    for n, indices in group_by_n([g.n for g in graphs]).items():
+        yield indices, np.ascontiguousarray(
+            adjacency_stack(n, [graphs[i].adj for i in indices]).transpose(1, 2, 0), dtype=dtype)
 
 
 def sequential_sum(x: np.ndarray) -> np.ndarray:
@@ -150,8 +207,7 @@ def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
     The energy adds the absolute eigenvalues largest first.
     """
     out: list[Spectrum | None] = [None] * len(graphs)
-    for n, indices in group_by_n([g.n for g in graphs]).items():
-        stack = adjacency_stack(n, [graphs[i].adj for i in indices]).astype(float)
+    for indices, stack in _stacks_by_n(graphs, float):
         diags = -np.sort(-_tridiagonal_eigenvalues_stack(stack), axis=1)
         energies = sequential_sum(-np.sort(-np.abs(diags), axis=1))
         for idx, values, energy in zip(indices, diags.tolist(), energies.tolist()):
@@ -313,8 +369,9 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
             t *= p
             sub -= t
             a = sub
-        # Fermat's inverse; a zero denominator only comes with a zero numerator
-        yield [s * num * pow(den, p - 2, p) % p
+        # a denominator of 0 mod p only comes with a numerator of 0 mod p, and
+        # has no inverse: pow(0, -1, p) raises
+        yield [s * num * (pow(den, -1, p) if den % p else 0) % p
                for s, num, den in zip(sign.tolist(), prefix.astype(np.int64).tolist(),
                                       denom.astype(np.int64).tolist())]
 
@@ -348,11 +405,7 @@ def _stack_determinants(stack: np.ndarray) -> list[int]:
 def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
     """Exact adjacency determinants of many graphs at once (grouped by vertex count)."""
     out = [0] * len(graphs)
-    for n, indices in group_by_n([g.n for g in graphs]).items():
-        # batch last, so that every row operation runs over contiguous memory;
-        # a call per group frees its buffers before the next group allocates
-        stack = np.ascontiguousarray(
-            adjacency_stack(n, [graphs[i].adj for i in indices]).transpose(1, 2, 0))
+    for indices, stack in _stacks_by_n(graphs, np.uint8):
         for idx, det in zip(indices, _stack_determinants(stack)):
             out[idx] = det
     return out

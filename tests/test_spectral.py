@@ -185,16 +185,40 @@ def test_bisection_freezes_converged_intervals():
     # times an adjacency matrix), which converges in fewer steps
     small = 0.01 * adjacency_matrix(Graph(11, petersen().adj))
     big = adjacency_matrix(complete(11))
-    batch = geb.spectral._tridiagonal_eigenvalues_stack(np.stack([small, big]))
+    batch = geb.spectral._tridiagonal_eigenvalues_stack(np.stack([small, big], axis=-1))
     for row, m in zip(batch, (small, big)):
-        assert (row == geb.spectral._tridiagonal_eigenvalues_stack(m[None].copy())[0]).all()
+        assert (row == geb.spectral._tridiagonal_eigenvalues_stack(m[..., None].copy())[0]).all()
 
 
 def test_batch_of_empty_sequence():
     assert eigenvalues_batch([]) == []
 
 
-# --- bisection oracle: the batch-first loop ---------------------------------
+# --- solver oracles: the batch-first loops ----------------------------------
+
+
+def batch_first_householder(a):
+    """Householder reduction of a (b, n, n) stack in place, as the solver once ran it.
+
+    Each sum runs along a contiguous last axis, in numpy's pairwise order. The
+    solver now runs with the batch last, and must leave the same bytes.
+    """
+    n = a.shape[1]
+    for k in range(n - 2):
+        x = a[:, k + 1 :, k]
+        scale = np.abs(x).max(axis=1)
+        v = x / np.where(scale > 0.0, scale, 1.0)[:, None]
+        tail = (v[:, 1:] * v[:, 1:]).sum(axis=1)
+        reflect = tail > 0.0
+        alpha = -np.copysign(np.sqrt(v[:, 0] * v[:, 0] + tail), v[:, 0])
+        v[:, 0] -= alpha
+        vv = np.maximum((v * v).sum(axis=1), 1.0)
+        tau = np.where(reflect, 2.0 / vv, 0.0)
+        a[:, k + 1, k] = np.where(reflect, alpha * scale, x[:, 0])
+        a22 = a[:, k + 1 :, k + 1 :]
+        p = tau[:, None] * (a22 * v[:, None, :]).sum(axis=2)
+        w = p - (0.5 * tau * (p * v).sum(axis=1))[:, None] * v
+        a22 -= v[:, :, None] * w[:, None, :] + w[:, :, None] * v[:, None, :]
 
 
 def row_major_bisection(d, e2):
@@ -227,15 +251,33 @@ def row_major_bisection(d, e2):
 
 
 def assert_bisection_matches_oracle(stack):
-    a = stack.astype(float)
+    # both halves of the solver, by bytes: == would take -0.0 for 0.0
+    a = np.ascontiguousarray(stack.transpose(1, 2, 0), dtype=float)
     ours = geb.spectral._tridiagonal_eigenvalues_stack(a)
-    idx = np.arange(a.shape[1])
-    d = a[:, idx, idx]  # the reduction leaves its tridiagonal form in a
+    ref = stack.astype(float)
+    batch_first_householder(ref)
+    idx = np.arange(len(a))
+    d = ref[:, idx, idx]
+    e = ref[:, idx[1:], idx[:-1]]
+    # the reduction leaves its tridiagonal form in a
+    assert a[idx, idx].T.tobytes() == d.tobytes()
+    assert a[idx[1:], idx[:-1]].T.tobytes() == e.tobytes()
     e2 = np.zeros_like(d)
-    e2[:, 1:] = a[:, idx[1:], idx[:-1]] ** 2
+    e2[:, 1:] = e**2
     assert ours.shape == d.shape
-    # by bytes: == would take -0.0 for 0.0
     assert ours.tobytes() == row_major_bisection(d, e2).tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 3, 1024])
+def test_pairwise_sum_keeps_numpys_order(b):
+    # the solver's sums over axis 0 must round as np.sum along a contiguous
+    # row does; this fails if a numpy release changes its summation scheme
+    rng = np.random.default_rng(b)
+    for length in range(64):
+        scales = 10.0 ** rng.integers(-25, 26, size=(b, length))
+        for rows in (rng.standard_normal((b, length)) * scales, np.full((b, length), -0.0)):
+            ours = geb.spectral._pairwise_sum(np.ascontiguousarray(rows.T))
+            assert ours.tobytes() == rows.sum(axis=-1).tobytes(), length
 
 
 @pytest.mark.parametrize("corpus", ["connected8.g6", "gnp_small.g6"])
