@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from typing import Iterable, Iterator
 
@@ -60,6 +61,21 @@ def _number(text: str) -> float:
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative number after an option as its value.
+
+    argparse reads an argument that starts with '-' as an option unless it
+    matches the parser's negative-number pattern. The stock pattern has no
+    exponent and no inf, so ``--tol -1e-9`` failed with "expected one
+    argument". Here '-' before a digit, a '.' or inf starts a value, which
+    ``_number`` then parses or refuses. Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|inf)", re.IGNORECASE)
 
 
 def _resolve(flag_value: float | None, env_name: str, default: float) -> float:
@@ -239,7 +255,7 @@ def _add_corpus_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geb",
         description="Graph energy bounds: reports, corpus verification, equality search.",
     )

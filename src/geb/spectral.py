@@ -5,7 +5,7 @@ at once: Householder reduction to tridiagonal form, then bisection of every
 eigenvalue of the batch together on Sturm counts (Barth, Martin & Wilkinson
 1967), with the batch on the last axis so that each numpy step runs along it.
 It takes n - 2 reflections on (m, b) and (m, m, b) operands, whose sums
-replay numpy's pairwise summation order, and about 53 bisection steps of n
+replay numpy's pairwise summation order, and 53 or 54 bisection steps of n
 row steps, each a few numpy calls on contiguous (n, b) operands of one shape.
 It always terminates, and a matrix's eigenvalues do not depend on which other
 matrices share its batch. ``spectral_columns`` derives the SpectralStats of many
@@ -133,6 +133,11 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     scalars out once in the (n, b) shape of the intervals, so that each numpy
     step runs over contiguous operands of one shape; each element sees the
     same IEEE operations, in the same order, as in a loop with the batch first.
+    A matrix with an edge takes 53 or 54 steps, as r rounds. Each step's
+    bookkeeping runs in place, on buffers allocated once: the counts decide
+    which end of each unconverged interval takes mid, and one branch-free
+    select on the int64 bits of both ends, held as one (2, n, b) array, moves
+    them. The select's bits reuse the row loop's q and t, which are free then.
     """
     n = len(a)
     _reduce_to_tridiagonal(a)
@@ -147,15 +152,26 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     # no row step broadcasts: each per-matrix scalar is repeated over the n
     # intervals as an (n, b) array, and each row of d and e2 as an (n, n, b) stack
     hi, pivmin, tol = (np.repeat(x[None], n, axis=0) for x in (r, pivmin, tol))
-    d, e2 = (np.repeat(x[:, None], n, axis=1) for x in (d, e2))
-    lo, clamp = -hi, -pivmin  # clamp: what a q with |q| < pivmin becomes
+    # as lists of (n, b) rows: a list index costs less than an array index
+    d, e2 = (list(np.repeat(x[:, None], n, axis=1)) for x in (d, e2))
+    ends = np.stack([-hi, hi])  # lo and hi of every interval, as (2, n, b)
+    lo, hi = ends
+    clamp = -pivmin  # what a q with |q| < pivmin becomes
     rank = np.broadcast_to(idx[:, None], hi.shape).astype(_COUNT)
-    q, t, mid = (np.empty(hi.shape) for _ in range(3))
+    mid = np.empty(hi.shape)
+    scratch = np.empty(ends.shape)  # q and t in the row loop, the blend's bits after it
+    q, t = scratch
     small, active = (np.empty(hi.shape, dtype=bool) for _ in range(2))
+    below = small.view(_COUNT)  # small's bytes, as counts
+    move = np.empty(ends.shape, dtype=bool)  # which of lo and hi take mid
+    lower, upper = move
     count = np.empty(hi.shape, dtype=_COUNT)  # eigenvalues below mid
-    np.greater(hi - lo, tol, out=active)
-    while active.any():
+    bits, mid_bits, blend = (x.view(np.int64) for x in (ends, mid, scratch))
+    np.greater(np.subtract(hi, lo, out=t), tol, out=active)
+    while True:
         np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)  # mid = 0.5 * (lo + hi)
+        if not active.any():
+            return mid.T
         np.subtract(d[0], mid, out=q)  # q_0: e2_0 / q_{-1} is 0.0 / 1.0, x - 0.0 is x, -0.0 too
         for i in range(n):
             if i:  # q_i = (d_i - mid) - e2_i / q_{i-1}
@@ -163,16 +179,20 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
             np.less(np.abs(q, out=t), pivmin, out=small)
             np.copyto(q, clamp, where=small)
             if i:
-                count += np.less(q, 0.0, out=small).view(_COUNT)
+                np.less(q, 0.0, out=small)
+                count += below
             else:  # the count starts from row 0's signs
                 np.less(q, 0.0, out=count.view(bool))
         # row j holds the eigenvalue with j others below it; converged
         # intervals stay frozen, so no result depends on its batch
-        upper = active & (count > rank)
-        hi = np.where(upper, mid, hi)
-        lo = np.where(active ^ upper, mid, lo)  # upper is within active
+        np.greater(count, rank, out=upper)
+        upper &= active  # hi takes mid
+        np.logical_xor(active, upper, out=lower)  # lo takes mid: active and not upper
+        # each end is copied bit for bit: end ^ ((end ^ mid) * moves) is mid or end
+        np.bitwise_xor(bits, mid_bits, out=blend)
+        blend *= move
+        bits ^= blend
         np.greater(np.subtract(hi, lo, out=t), tol, out=active)
-    return (0.5 * (lo + hi)).T
 
 
 def group_by_n(sizes: Sequence[int] | np.ndarray) -> dict[int, list[int]]:

@@ -326,6 +326,27 @@ def test_infinite_tolerance_is_accepted(capsys):
     assert code == EXIT_CLEAN and "equality hits: 6" in out
 
 
+@pytest.mark.parametrize("value", [
+    "-1e-9", "-1E+3", "-inf", "-Infinity", "-0.5", "-1", "-.5", "-1.", "-1_000",
+])
+@pytest.mark.parametrize("flag", ["--tol", "--eps"])
+def test_negative_tolerance_after_a_space(capsys, flag, value):
+    # argparse's own negative-number pattern has no exponent and no inf, so
+    # "--tol -1e-9" once failed with "expected one argument"
+    command = ["verify"] if flag == "--tol" else ["equality", "--bound", "main"]
+    code, out, err = run(capsys, *command, "--enumerate", "4", flag, value)
+    assert code == (EXIT_CLEAN if flag == "--eps" else EXIT_VIOLATIONS), err
+    assert run(capsys, *command, "--enumerate", "4", f"{flag}={value}") == (code, out, err)
+
+
+@pytest.mark.parametrize("value", ["-1e-9", "-1e-3", "-inf", "-0.5"])
+@pytest.mark.parametrize("command", [["report", "Bw"], ["verify", "--enumerate", "4"]])
+def test_negative_zero_tol_after_a_space_is_refused(capsys, command, value):
+    code, out, err = run(capsys, *command, "--zero-tol", value)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: zero_tol must be positive\n"
+
+
 # --- environment variables ------------------------------------------------------------
 
 

@@ -180,7 +180,7 @@ def test_batch_spectra_equal_solo_solves(data_dir, corpus):
 
 
 def test_bisection_freezes_converged_intervals():
-    # every adjacency matrix with an edge has r >= 1 and needs 53 bisection
+    # every adjacency matrix with an edge has r >= 1 and needs 53 or 54 bisection
     # steps, so the freeze only shows next to a matrix with r < 1 (here 0.01
     # times an adjacency matrix), which converges in fewer steps
     small = 0.01 * adjacency_matrix(Graph(11, petersen().adj))
@@ -266,6 +266,30 @@ def assert_bisection_matches_oracle(stack):
     e2[:, 1:] = e**2
     assert ours.shape == d.shape
     assert ours.tobytes() == row_major_bisection(d, e2).tobytes()
+
+
+def test_mixed_batch_matches_solo_solves_and_the_row_major_loop():
+    # edgeless matrices are inactive from step 0, with ends -0.0 and +0.0; the
+    # 0.01-scaled Petersen matrix converges before the matrices with edges
+    n = 10
+    mats = [adjacency_matrix(g) for g in (Graph(n, 0), petersen(), complete(n), path(n), Graph(n, 0))]
+    mats[1] *= 0.01
+    stack = np.stack(mats)
+    assert_bisection_matches_oracle(stack)
+    batch = geb.spectral._tridiagonal_eigenvalues_stack(np.ascontiguousarray(stack.transpose(1, 2, 0)))
+    for row, m in zip(batch, mats):
+        assert row.tobytes() == geb.spectral._tridiagonal_eigenvalues_stack(m[..., None].copy())[0].tobytes()
+    assert batch[0].tobytes() == batch[-1].tobytes() == np.zeros(n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 62])
+def test_edgeless_spectrum_is_positive_zero(n):
+    # by bytes: == would take -0.0 for 0.0
+    zeros = np.zeros(n).tobytes()
+    mixed = eigenvalues_batch([complete(n), Graph(n, 0), path(n)])
+    for spec in (eigenvalues(Graph(n, 0)), mixed[1]):
+        assert np.array(spec.values).tobytes() == zeros
+        assert np.float64(spec.energy).tobytes() == np.zeros(1).tobytes()
 
 
 @pytest.mark.parametrize("b", [1, 3, 1024])
@@ -544,6 +568,26 @@ def test_kernels_peak_memory_at_62_vertices():
         finally:
             tracemalloc.stop()
         assert peak <= 3.3 * stack_bytes, (kernel.__name__, peak / stack_bytes)
+
+
+def test_kernels_peak_memory_at_the_corpus8_chunk_shape(data_dir):
+    # a corpus8 chunk: 1024 graphs on 8 vertices, where each (n, b) interval
+    # buffer is an eighth of a stack. The bounds are the peaks of a bisection
+    # that allocated new ends at every step; the in-place one stays below.
+    with open(data_dir / "connected8.g6", encoding="ascii") as fh:
+        graphs = [parse_graph6(line) for line, _ in zip(fh, range(1024))]
+    stack = np.ascontiguousarray(
+        adjacency_stack(8, [g.adj for g in graphs]).transpose(1, 2, 0), dtype=float)
+    kernels = ((eigenvalues_batch, graphs, 4.44),
+               (geb.spectral._tridiagonal_eigenvalues_stack, stack, 3.35))
+    for kernel, arg, bound in kernels:
+        tracemalloc.start()
+        try:
+            kernel(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * stack.nbytes, (kernel.__name__, peak / stack.nbytes)
 
 
 @pytest.mark.parametrize(
