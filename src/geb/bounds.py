@@ -17,19 +17,22 @@ and upper bounds sqrt(2mn) (``mcclelland_upper``) and 2m / sqrt(lambda1)
 
 ``BoundTable`` evaluates everything on a batch of graphs at once, one numpy
 column per ``BoundReport`` field, and records the slack E - bound (bound - E
-for uppers) so tightness scans are threshold checks. The bound functions
-take scalars and columns alike. Only ``mcclelland_lower`` runs per graph, in
-``math``: numpy's exp and log may differ from it in the last bit. Sums add
-left to right, so every column equals the per-graph arithmetic bit for bit.
-``bound_report`` is row 0 of a one-graph table.
+for uppers) so tightness scans are threshold checks. The exact determinants
+and the structure columns (connectivity, triangles, epsilon, the
+conjectures) are built when first read, so a corpus command pays only for
+the columns it reads. The bound functions take scalars and columns alike.
+Only ``mcclelland_lower`` runs per graph, in ``math``: numpy's exp and log
+may differ from it in the last bit. Sums add left to right, so every column
+equals the per-graph arithmetic bit for bit. ``bound_report`` is row 0 of a
+one-graph table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache
-from typing import Sequence
+from functools import cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -208,69 +211,115 @@ class BoundReport:
         return [f.name for f in fields(cls)]
 
 
-_LOWER = ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound", "conj1")
-_UPPER = ("mcclelland_upper", "conj2")
+def _where(rows: np.ndarray, bound: Callable[..., np.ndarray], *args: np.ndarray) -> np.ndarray:
+    """bound(*args) on ``rows``, nan elsewhere."""
+    out = np.full(len(rows), np.nan)
+    out[rows] = bound(*(arg[rows] for arg in args))
+    return out
+
+
+def _determinant_columns(graphs: Sequence[Graph], n: np.ndarray, m: np.ndarray,
+                         energy: np.ndarray, determinants: Callable) -> dict[str, np.ndarray]:
+    """|det A| as Python ints (it may pass 2**63), McClelland's lower bound and its slack."""
+    det_abs = np.array([abs(d) for d in determinants(graphs)], dtype=object)
+    lower = np.array([mcclelland_lower(*row) for row in zip(n.tolist(), m.tolist(), det_abs)])
+    return {"det_abs": det_abs, "mcclelland_lower": lower, "slack_mcclelland_lower": energy - lower}
+
+
+def _structure_columns(graphs: Sequence[Graph], n: np.ndarray, m: np.ndarray,
+                       energy: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
+    """``_structure`` per vertex count, and what needs it: epsilon and the conjectures."""
+    b = len(graphs)
+    regular, connected = np.empty(b, bool), np.empty(b, bool)
+    walks3, root_sum = np.empty(b), np.empty(b)
+    for size, rows in group_by_n(n).items():
+        stack = adjacency_stack(size, [graphs[i].adj for i in rows])
+        regular[rows], connected[rows], walks3[rows], root_sum[rows] = _structure(stack)
+    edged = m >= 1
+    epsilon = _where(edged, _epsilon, n, m, root_sum)
+    conj1 = _where(edged & connected, conj1_lower, n, epsilon)
+    conj2 = _where(edged & connected, conj2_upper, m, lam)
+    return {"is_connected": connected, "is_regular": regular, "is_triangle_free": walks3 == 0,
+            "walks3": walks3, "epsilon": epsilon, "conj1": conj1, "conj2": conj2,
+            "slack_conj1": energy - conj1, "slack_conj2": conj2 - energy}
+
+
+_DETERMINANT = ("det_abs", "mcclelland_lower", "slack_mcclelland_lower")
+_STRUCTURE = ("is_connected", "is_regular", "is_triangle_free", "walks3", "epsilon", "conj1",
+              "conj2", "slack_conj1", "slack_conj2")
+
+
+class _OnDemand(dict):
+    """A dict that builds a missing key's group on first read and keeps it.
+
+    ``groups`` maps each deferred key to a function returning its group's
+    entries, the key's among them. ``get`` builds too.
+    """
+
+    def __init__(self, groups: dict[str, Callable[[], dict]], entries: dict):
+        super().__init__(entries)
+        self._groups = groups
+
+    def __missing__(self, key: str):
+        self.update(self._groups[key]())
+        return self[key]
+
+    def get(self, key: str, default=None):
+        return self[key] if key in self or key in self._groups else default
 
 
 class BoundTable:
     """Every BoundReport field of a batch of graphs, one numpy column per field.
 
-    ``column[field]`` holds the field per graph, in the order of ``graphs``.
+    ``column[field]`` holds the field per graph, in the order of ``graphs``,
+    and ``column["walks3"]`` the closed 3-walks, six times the triangles.
     ``applies[name]`` marks the graphs where a bound (and its slack), t_nz,
     epsilon or beta is set; elsewhere the column holds nan and a BoundReport
     None. ``values`` holds the spectra, one per row, zero-padded to the
-    longest, and ``walks3`` the closed 3-walks, six times the triangles.
-    ``graph6(i)`` encodes row i's graph once, when first asked.
+    longest. ``graph6(i)`` encodes row i's graph once, when first asked.
+
+    Two column groups are built when one of their columns is first read:
+    ``determinants(graphs)``, called once at most, and McClelland's lower
+    bound; ``_structure`` and what needs connectivity or the root sum. So a
+    command pays only for the columns it reads. Everything else is built here.
     """
 
     def __init__(self, graphs: Sequence[Graph], spectra: Sequence[Spectrum],
-                 dets: Sequence[int], zero_tol: float = DEFAULT_ZERO_TOL):
+                 determinants: Callable[[Sequence[Graph]], Sequence[int]],
+                 zero_tol: float = DEFAULT_ZERO_TOL):
         self.graphs, self.spectra = graphs, spectra
         self.values, col = spectral_columns(spectra, zero_tol)
         b = len(graphs)
         n = np.array([g.n for g in graphs], dtype=np.int64)
         m = np.array([g.edge_count for g in graphs], dtype=np.int64)
-        regular, connected = np.empty(b, bool), np.empty(b, bool)
-        self.walks3, root_sum = np.empty(b), np.empty(b)
-        for size, rows in group_by_n(n).items():
-            stack = adjacency_stack(size, [graphs[i].adj for i in rows])
-            regular[rows], connected[rows], self.walks3[rows], root_sum[rows] = _structure(stack)
         energy, lam, t, t_nz, rank = (col[k] for k in ("energy", "lambda1", "t", "t_nz", "rank"))
         edged = m >= 1
-        self.applies = dict.fromkeys(("mcclelland_lower", "caporossi", "mcclelland_upper"),
-                                     np.ones(b, bool))
-        self.applies.update(t_nz=rank >= 1, main=edged, cor_nice=edged, amgm=edged,
-                            rank_bound=edged & (rank >= 1), epsilon=edged, beta=edged,
-                            conj1=edged & connected, conj2=edged & connected)
-
-        def where(name, bound, *args):
-            """bound(*args) on the rows where ``name`` applies, nan elsewhere."""
-            out, rows = np.full(b, np.nan), self.applies[name]
-            out[rows] = bound(*(arg[rows] for arg in args))
-            return out
-
-        det_abs = np.array([abs(d) for d in dets], dtype=object)  # Python ints: |det| may pass 2**63
-        epsilon = where("epsilon", _epsilon, n, m, root_sum)
-        self.column = col | {
-            "n": n, "m": m, "is_connected": connected, "is_regular": regular,
-            "is_triangle_free": self.walks3 == 0, "det_abs": det_abs,
-            "mcclelland_lower": np.array([mcclelland_lower(*row) for row in
-                                          zip(n.tolist(), m.tolist(), det_abs)]),
+        applies = dict.fromkeys(("mcclelland_lower", "caporossi", "mcclelland_upper"),
+                                np.ones(b, bool))
+        applies.update(t_nz=rank >= 1, main=edged, cor_nice=edged, amgm=edged,
+                       rank_bound=edged & (rank >= 1), epsilon=edged, beta=edged)
+        lower = {
             "caporossi": caporossi_lower(m),
-            "main": where("main", main_lower, n, m, lam, t),
-            "cor_nice": where("cor_nice", cor_nice_lower, m, lam),
-            "amgm": where("amgm", amgm_lower, n, m, lam, t),
-            "rank_bound": where("rank_bound", rank_lower, m, rank, lam, t_nz),
-            "conj1": where("conj1", conj1_lower, n, epsilon),
-            "mcclelland_upper": mcclelland_upper(n, m),
-            "conj2": where("conj2", conj2_upper, m, lam),
-            "epsilon": epsilon,
-            "beta": where("beta", _beta, n, m, lam),
+            "main": _where(edged, main_lower, n, m, lam, t),
+            "cor_nice": _where(edged, cor_nice_lower, m, lam),
+            "amgm": _where(edged, amgm_lower, n, m, lam, t),
+            "rank_bound": _where(applies["rank_bound"], rank_lower, m, rank, lam, t_nz),
         }
-        for name in _LOWER:
-            self.column["slack_" + name] = energy - self.column[name]
-        for name in _UPPER:
-            self.column["slack_" + name] = self.column[name] - energy
+        upper = mcclelland_upper(n, m)
+        eager = col | lower | {"slack_" + name: energy - bound for name, bound in lower.items()}
+        eager.update(n=n, m=m, mcclelland_upper=upper, slack_mcclelland_upper=upper - energy,
+                     beta=_where(edged, _beta, n, m, lam))
+        # the group builders hold arrays, not the table: no reference cycle
+        # keeps a finished chunk's table alive until the next full collection
+        dets = partial(_determinant_columns, graphs, n, m, energy, determinants)
+        structure = partial(_structure_columns, graphs, n, m, energy, lam)
+        self.column = column = _OnDemand(
+            dict.fromkeys(_DETERMINANT, dets) | dict.fromkeys(_STRUCTURE, structure), eager)
+        conjectures = ("conj1", "conj2")  # on connected graphs with an edge
+        self.applies = _OnDemand(
+            dict.fromkeys(conjectures,
+                          lambda: dict.fromkeys(conjectures, edged & column["is_connected"])),
+            applies)
         self.graph6 = cache(lambda i: write_graph6(graphs[i]))
 
     def report(self, i: int) -> BoundReport:
@@ -291,4 +340,5 @@ def bound_report(
     Without a precomputed ``spectrum`` the graph is solved here.
     """
     spectrum = eigenvalues(g) if spectrum is None else spectrum
-    return BoundTable([g], [spectrum], [determinant_exact(g)], zero_tol).report(0)
+    return BoundTable([g], [spectrum], lambda graphs: [determinant_exact(graphs[0])],
+                      zero_tol).report(0)

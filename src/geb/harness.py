@@ -1,9 +1,12 @@
 """Corpus drivers: soundness verification, conjecture checks, equality search.
 
 verify, conjectures and equality each fold chunks of graphs into one
-CorpusSummary, through one chunk loop. It solves the chunk's spectra and
-exact determinants in one batch each, and ``bounds.BoundTable`` evaluates
-every bound on them as a numpy column over the chunk. The verdicts are taken
+CorpusSummary, through one chunk loop. It solves the chunk's spectra in one
+batch, and ``bounds.BoundTable`` evaluates every bound on them as a numpy
+column over the chunk. The table builds the exact determinants (one batch)
+and the structure columns only when a visitor first reads one of their
+columns: ``conjectures`` never solves a determinant, and ``equality``
+builds neither group unless its bound needs it. The verdicts are taken
 column-wise too: every invariant row, the Grüss product-sum chain and
 identity (``gruss.energy_chain``'s arithmetic, bit for bit, without its
 vectors) and the spectral moment rows are vector expressions, a least slack
@@ -189,7 +192,7 @@ def _check_moments(summary: CorpusSummary, table: BoundTable) -> None:
     values = table.values
     for name, total, expected, detail in (
         ("moment:sum", sequential_sum(values), np.zeros(len(values)), "sum of eigenvalues != 0"),
-        ("moment:cubes", sequential_sum(values * values * values), table.walks3,
+        ("moment:cubes", sequential_sum(values * values * values), table.column["walks3"],
          "sum of cubed eigenvalues != 6 * triangles"),
     ):
         _flag(summary, table, name, np.abs(total - expected) > _GRUSS_IDENTITY_TOL, total,
@@ -227,15 +230,17 @@ def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float)
 
 
 def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> CorpusSummary:
-    """Solve the chunk's spectra and determinants in one batch each, then visit its BoundTable.
+    """Solve the chunk's spectra in one batch, then visit its BoundTable.
 
-    The solver always terminates. A wrong spectrum costs only its graph,
-    through the moment rows and the Grüss identity rows of ``verify``.
+    The table solves the chunk's exact determinants in one batch too, if the
+    visitor reads a column that needs them. The solver always terminates. A
+    wrong spectrum costs only its graph, through the moment rows and the
+    Grüss identity rows of ``verify``.
     """
     summary = CorpusSummary(graphs_seen=len(graphs))
-    # eigenvalues_batch stays this module's global: perfbench's EIG_SITES and tests patch it
-    visit(summary, BoundTable(graphs, eigenvalues_batch(graphs), determinants_exact(graphs),
-                              zero_tol))
+    # both solvers stay this module's globals, read here: tests patch them, and
+    # perfbench's EIG_SITES wraps eigenvalues_batch
+    visit(summary, BoundTable(graphs, eigenvalues_batch(graphs), determinants_exact, zero_tol))
     return summary
 
 

@@ -1,6 +1,9 @@
 """Closed-form checks for every energy bound, the per-graph report, and the bound table."""
 
+import gc
+import hashlib
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +25,9 @@ from geb.bounds import (
     mcclelland_upper,
     rank_lower,
 )
+import geb.bounds as bounds
 from geb.errors import EmptyGraph
-from geb.graph6 import write_graph6
+from geb.graph6 import parse_graph6, write_graph6
 from geb.graphs import (
     Graph,
     complete,
@@ -321,7 +325,7 @@ def reference_report(g, spec, det, zero_tol=DEFAULT_ZERO_TOL):
 
 def assert_rows_match_oracle(graphs, zero_tol=DEFAULT_ZERO_TOL):
     spectra, dets = eigenvalues_batch(graphs), determinants_exact(graphs)
-    table = BoundTable(graphs, spectra, dets, zero_tol)
+    table = BoundTable(graphs, spectra, lambda _: dets, zero_tol)
     for i, (g, spec, det) in enumerate(zip(graphs, spectra, dets)):
         got, want = table.report(i).to_dict(), reference_report(g, spec, det, zero_tol).to_dict()
         assert got == want, g
@@ -347,3 +351,61 @@ def test_table_rows_equal_the_scalar_oracle_on_families():
     )
     assert_rows_match_oracle(families)
     assert_rows_match_oracle(families, zero_tol=0.5)  # nonzero eigenvalues counted as zero
+
+
+# sha256 of repr(table.report(i)), one line per row, over each fixture's rows in
+# chunks of 1024: frozen from the tables that built every column up front
+EAGER_REPORTS = {
+    "connected8.g6": "9405897f86d2e1311575694310af2c185ec065b25105c271f0c851a12c807cfd",
+    "gnp_small.g6": "4c25d8566d37891e0778f0f417de5e4fdd1ea65828e90cc7999b09ddddde0c40",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_REPORTS))
+def test_table_reports_equal_the_eager_tables_by_repr(data_dir, name):
+    graphs = [parse_graph6(line) for line in (data_dir / name).read_text(encoding="ascii").split()]
+    digest = hashlib.sha256()
+    for k in range(0, len(graphs), 1024):
+        chunk = graphs[k : k + 1024]
+        table = BoundTable(chunk, eigenvalues_batch(chunk), determinants_exact)
+        for i in range(len(chunk)):
+            digest.update(repr(table.report(i)).encode("ascii") + b"\n")
+    assert digest.hexdigest() == EAGER_REPORTS[name]
+
+
+def test_table_builds_each_column_group_on_first_read(monkeypatch):
+    graphs = [petersen(), path(4), Graph(4, 0), cycle(5)]
+    solved, stacks = [], []
+    structure = bounds._structure
+    monkeypatch.setattr(bounds, "_structure", lambda stack: stacks.append(len(stack)) or structure(stack))
+    table = BoundTable(graphs, eigenvalues_batch(graphs),
+                       lambda gs: solved.append(len(gs)) or determinants_exact(gs))
+    for name in ("main", "cor_nice", "amgm", "rank_bound", "caporossi", "mcclelland_upper"):
+        table.column[name], table.column["slack_" + name], table.applies[name]
+    table.column["beta"], table.applies["t_nz"]
+    assert (solved, stacks) == ([], [])
+    assert table.applies["conj2"].tolist() == [True, True, False, True]
+    assert table.column["walks3"].tolist() == [0.0, 0.0, 0.0, 0.0]
+    table.column["slack_conj1"], table.column["is_regular"]
+    assert (solved, sorted(stacks)) == ([], [1, 1, 2])  # one _structure call per vertex count
+    assert table.column["det_abs"].tolist() == [48, 1, 0, 2]
+    table.column["slack_mcclelland_lower"], table.report(0)
+    assert (solved, sorted(stacks)) == ([4], [1, 1, 2])
+    with pytest.raises(KeyError):
+        table.column["no_such_column"]
+    assert table.applies.get("no_such_bound") is None
+
+
+def test_a_read_table_is_freed_without_the_cycle_collector():
+    # its column groups must not refer back to it, or every chunk's table
+    # would wait for a full collection
+    graphs = [petersen(), path(4)]
+    gc.disable()
+    try:
+        table = BoundTable(graphs, eigenvalues_batch(graphs), determinants_exact)
+        table.report(1), table.applies["conj1"]
+        freed = weakref.ref(table)
+        del table
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -195,6 +195,25 @@ def test_verify_jobs_output_is_identical(capsys):
     assert out1 == out2
 
 
+def test_skip_bad_across_a_decode_block_is_the_same_for_any_jobs(capsys, tmp_path, data_dir):
+    # lines 1024 and 1025 sit on either side of the first boundary of stream_corpus's blocks
+    lines = (data_dir / "connected8.g6").read_bytes().split()[:2100]
+    for lineno, bad in ((3, b"*junk*"), (1024, b"\xc3\xa9x"), (1025, b">>graph6<<Bw"), (2049, b"G??")):
+        lines[lineno - 1] = bad
+    f = tmp_path / "c.g6"
+    f.write_bytes(b"\n".join(lines) + b"\n")
+    runs = [run(capsys, "verify", "--corpus", str(f), "--skip-bad", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == EXIT_CLEAN
+    assert "graphs seen: 2096\ngraphs skipped: 4\n" in out
+    assert err == ("skipping line 3: size byte '*' does not encode n in 1..62\n"
+                   "skipping line 1024: size byte '\\udcc3' does not encode n in 1..62\n"
+                   "skipping line 1025: header allowed on the first line only\n"
+                   "skipping line 2049: n=8 needs 5 payload bytes, got 2\n")
+
+
 # --- conjectures ------------------------------------------------------------------
 
 

@@ -1,20 +1,24 @@
 """graph6 encoding, decoding, and corpus streaming."""
 
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import geb.graph6 as graph6
 from geb.errors import (
     BadSizeByte,
     ByteOutOfRange,
     CorpusDecodeError,
+    Graph6Error,
     HeaderMismatch,
     NTooLarge,
     TruncatedBits,
 )
-from geb.graphs import Graph, complete, from_edge_list
-from geb.graph6 import parse_graph6, stream_corpus, write_graph6
+from geb.graphs import Graph, complete, from_edge_list, pair_count
+from geb.graph6 import HEADER, parse_graph6, stream_corpus, write_graph6
 
 from conftest import random_graphs
 
@@ -152,3 +156,132 @@ def test_payload_length_is_exact():
     with pytest.raises(TruncatedBits):
         parse_graph6("D???")
     assert parse_graph6("D??").n == 5
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 62).flatmap(
+    lambda n: st.tuples(st.just(n), st.binary(min_size=(pair_count(n) + 5) // 6,
+                                              max_size=(pair_count(n) + 5) // 6))))
+def test_decode_matches_big_int_arithmetic(shape):
+    # any payload bytes, padding bits set or not: the six-bit groups read as
+    # one big-endian integer, padding shifted out, pair 0 first
+    n, raw = shape
+    payload = bytes(63 + (b & 63) for b in raw)
+    value = 0
+    for b in payload:
+        value = value << 6 | (b - 63)
+    value >>= 6 * len(payload) - pair_count(n)
+    adj = int(f"{value:0{pair_count(n)}b}"[::-1], 2) if pair_count(n) else 0
+    assert parse_graph6(chr(63 + n) + payload.decode("ascii")) == Graph(n, adj)
+
+
+# --- block decoding against the per-line oracle -------------------------------
+
+
+def per_line(reader, on_bad=None):
+    """stream_corpus one line at a time through parse_graph6: the oracle."""
+    for lineno, raw in enumerate(reader, 1):
+        line = raw.strip()
+        if not line or (lineno == 1 and line == HEADER):
+            continue
+        try:
+            if line.startswith(">>") and lineno > 1:
+                raise Graph6Error("header allowed on the first line only")
+            yield lineno, parse_graph6(line)
+        except Graph6Error as exc:
+            if on_bad is None:
+                raise CorpusDecodeError(lineno, str(exc)) from exc
+            on_bad(lineno, exc)
+
+
+def outcome(stream, text, skip):
+    """Everything a stream shows: its pairs, its error and its on_bad calls, in order."""
+    events = []
+    on_bad = (lambda lineno, exc: events.append(("bad", lineno, type(exc), str(exc)))) if skip else None
+    try:
+        for lineno, g in stream(io.StringIO(text, newline=""), on_bad):
+            events.append(("graph", lineno, g))
+    except CorpusDecodeError as exc:
+        events.append(("raised", exc.line_number, type(exc.__cause__), str(exc)))
+    return events
+
+
+@st.composite
+def corpus_lines(draw):
+    """One corpus line, valid or broken in one of the ways a corpus can be."""
+    n = draw(st.integers(1, 62))
+    line = write_graph6(Graph(n, draw(st.integers(0, (1 << pair_count(n)) - 1))))
+    kind = draw(st.sampled_from(["valid"] * 6 + [
+        "padding", "blank", "header", "long", "short", "extra", "low", "high", "surrogate",
+        "surrogate_size", "spaces"]))
+    if kind == "padding" and 6 * (len(line) - 1) > pair_count(n):
+        padding = (1 << 6 * (len(line) - 1) - pair_count(n)) - 1
+        line = line[:-1] + chr(63 + (ord(line[-1]) - 63 | padding))
+    elif kind == "blank":
+        line = draw(st.sampled_from(["", " ", "\t"]))
+    elif kind == "header":
+        line = draw(st.sampled_from([HEADER, HEADER + line, ">>sparse6<<" + line]))
+    elif kind == "long":
+        line = "~" + line[1:]
+    elif kind == "short":
+        line = line[:-1]
+    elif kind == "extra":
+        line += "?"
+    elif kind in ("low", "high", "surrogate") and len(line) > 1:
+        k = draw(st.integers(1, len(line) - 1))
+        bad = {"low": "!", "high": "\x7f", "surrogate": draw(st.sampled_from("\udc80\udcc3\udcff"))}
+        line = line[:k] + bad[kind] + line[k + 1:]
+    elif kind == "surrogate_size":
+        line = "\udcc3" + line[1:]
+    elif kind == "spaces":
+        line = " " + line + "  "
+    return line + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["", HEADER + "\n", HEADER + "\r\n"]), st.lists(corpus_lines(), max_size=40),
+       st.integers(1, 8), st.booleans())
+def test_block_decode_equals_the_per_line_oracle(first, lines, block, skip):
+    text = first + "".join(lines)
+    with mock.patch.object(graph6, "_BLOCK", block):
+        got = outcome(stream_corpus, text, skip)
+    assert got == outcome(per_line, text, skip)
+
+
+def test_bad_lines_on_both_sides_of_a_block_boundary(data_dir):
+    good = (data_dir / "connected8.g6").read_text(encoding="ascii").split()
+    lines = good[: 3 * graph6._BLOCK]
+    for k, bad in ((0, HEADER), (graph6._BLOCK - 2, "*junk*"), (graph6._BLOCK - 1, "\udcc3x"),
+                   (graph6._BLOCK, ">>graph6<<Bw"), (graph6._BLOCK + 1, "G??"),
+                   (2 * graph6._BLOCK - 1, "~" + "?" * 326), (2 * graph6._BLOCK, "")):
+        lines[k] = bad
+    text = "\r\n".join(lines) + "\n"
+    for skip in (False, True):
+        assert outcome(stream_corpus, text, skip) == outcome(per_line, text, skip)
+    skipped = [event[1] for event in outcome(stream_corpus, text, True) if event[0] == "bad"]
+    assert skipped == [graph6._BLOCK - 1, graph6._BLOCK, graph6._BLOCK + 1, graph6._BLOCK + 2,
+                       2 * graph6._BLOCK]
+
+
+def test_characters_beyond_one_byte_take_the_per_line_path():
+    # a reader not opened as ASCII may hold any character: its block is decoded line by line
+    text = "A_\nB\u00e9\nBw\n"
+    got = outcome(stream_corpus, text, True)
+    assert got == outcome(per_line, text, True)
+    assert [event[:2] for event in got] == [("graph", 1), ("bad", 2), ("graph", 3)]
+
+
+@pytest.mark.parametrize("name", ["connected8.g6", "gnp_small.g6"])
+def test_fixture_corpora_never_take_the_per_line_path(data_dir, monkeypatch, name):
+    with open(data_dir / name, encoding="ascii", errors="surrogateescape") as fh:
+        want = [(lineno, parse_graph6(line)) for lineno, line in enumerate(fh, 1)]
+    calls = []
+
+    def counted(line):
+        calls.append(line)
+        return parse_graph6(line)
+
+    monkeypatch.setattr(graph6, "parse_graph6", counted)
+    with open(data_dir / name, encoding="ascii", errors="surrogateescape") as fh:
+        assert list(stream_corpus(fh)) == want
+    assert len(calls) == 0

@@ -79,7 +79,7 @@ def test_verify_empty_corpus():
 def test_visitors_leave_an_empty_table_alone(visit):
     # _run makes no empty chunk, but a table of zero graphs is still a table
     summary = CorpusSummary()
-    visit(summary, BoundTable([], [], []))
+    visit(summary, BoundTable([], [], spectral.determinants_exact))
     assert summaries_equal(summary, CorpusSummary())
 
 
@@ -282,6 +282,46 @@ def test_each_graph_derives_its_spectral_stats_once(monkeypatch, run):
     run(fresh)
     assert [len(batch) for batch in batches] == [8, 8, 5]
     assert [spec for batch in batches for spec in batch] == spectral.eigenvalues_batch(fresh)
+
+
+def connected8(data_dir):
+    return [parse_graph6(line) for line in (data_dir / "connected8.g6").read_text(encoding="ascii").split()]
+
+
+def test_conjectures_and_main_equality_solve_no_determinant(monkeypatch, data_dir):
+    corpus = connected8(data_dir)
+    runs = (run_conjectures, partial(run_equality, bound="main"))
+    want = [run(corpus) for run in runs]
+
+    def refuse(graphs):
+        raise AssertionError("exact determinants were solved")
+
+    monkeypatch.setattr(harness, "determinants_exact", refuse)
+    assert all(summaries_equal(run(corpus), summary) for run, summary in zip(runs, want))
+
+
+@pytest.mark.parametrize("bound", ["main", "cor_nice", "rank_bound", "caporossi", "mcclelland_lower"])
+def test_equality_builds_no_structure_columns(monkeypatch, bound):
+    fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
+    want = run_equality(fresh, bound=bound)
+
+    def refuse(stack):
+        raise AssertionError("structure columns were built")
+
+    monkeypatch.setattr(bounds, "_structure", refuse)
+    assert summaries_equal(run_equality(fresh, bound=bound), want)
+
+
+@pytest.mark.parametrize("run", [run_verify, partial(run_equality, bound="mcclelland_lower")],
+                         ids=["verify", "equality"])
+def test_determinants_are_solved_once_per_chunk(monkeypatch, data_dir, run):
+    corpus = connected8(data_dir)
+    solved = []
+    solve = harness.determinants_exact
+    monkeypatch.setattr(harness, "determinants_exact",
+                        lambda graphs: solved.append(list(graphs)) or solve(graphs))
+    run(corpus)
+    assert solved == [corpus[k : k + 1024] for k in range(0, len(corpus), 1024)]
 
 
 def test_in_chunk_ties_go_to_the_smaller_graph6(monkeypatch):
