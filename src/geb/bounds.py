@@ -15,16 +15,16 @@ nonzero absolute eigenvalue t_nz:
 and upper bounds sqrt(2mn) (``mcclelland_upper``) and 2m / sqrt(lambda1)
 (``conj2_upper``, conjectural, connected only).
 
-``BoundTable`` evaluates everything on a batch of graphs at once, one numpy
-column per ``BoundReport`` field, and records the slack E - bound (bound - E
-for uppers) so tightness scans are threshold checks. The exact determinants
-and the structure columns (connectivity, triangles, epsilon, the
-conjectures) are built when first read, so a corpus command pays only for
-the columns it reads. The bound functions take scalars and columns alike.
-Only ``mcclelland_lower`` runs per graph, in ``math``: numpy's exp and log
-may differ from it in the last bit. Sums add left to right, so every column
-equals the per-graph arithmetic bit for bit. ``bound_report`` is row 0 of a
-one-graph table.
+``BoundTable`` evaluates everything on a batch of (n, bitset) pairs at once,
+one numpy column per ``BoundReport`` field, with the slack E - bound (bound -
+E for uppers). One adjacency stack per vertex count feeds the solve, the
+exact determinants and the structure columns (connectivity, triangles,
+epsilon, the conjectures); the last two are built when first read, so a
+command pays only for what it reads. The bound functions take scalars and
+columns alike. Only ``mcclelland_lower`` runs per graph, in ``math``: numpy's
+exp and log may differ from it in the last bit. Sums add left to right, so
+every column equals the per-graph arithmetic bit for bit. ``bound_report`` is
+row 0 of a one-graph table.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from .graph6 import write_graph6
 # called here; they stay importable from this module because perfbench/tracing.py's
 # CALL_SITES patch them
 from .graphs import (Graph, adjacency_stack, degree_sequence, is_connected,  # noqa: F401
-                     is_regular, is_triangle_free, pairs_in_order)
+                     is_regular, is_triangle_free, pairs_in_order, stacks_by_n)
 from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum,  # noqa: F401
-                       determinant_exact, eigenvalues, group_by_n, sequential_sum,
-                       spectral_columns, spectral_stats)
+                       determinant_exact, determinants_of_stacks, eigenvalues, sequential_sum,
+                       spectra_of_stacks, spectral_columns, spectral_stats)
 
 
 Value = float | np.ndarray  # a scalar, or a column with one entry per graph
@@ -218,22 +218,20 @@ def _where(rows: np.ndarray, bound: Callable[..., np.ndarray], *args: np.ndarray
     return out
 
 
-def _determinant_columns(graphs: Sequence[Graph], n: np.ndarray, m: np.ndarray,
-                         energy: np.ndarray, determinants: Callable) -> dict[str, np.ndarray]:
+def _determinant_columns(stacks: list, n: np.ndarray, m: np.ndarray, energy: np.ndarray,
+                         determinants: Callable) -> dict[str, np.ndarray]:
     """|det A| as Python ints (it may pass 2**63), McClelland's lower bound and its slack."""
-    det_abs = np.array([abs(d) for d in determinants(graphs)], dtype=object)
+    det_abs = np.array([abs(d) for d in determinants(stacks, len(n))], dtype=object)
     lower = np.array([mcclelland_lower(*row) for row in zip(n.tolist(), m.tolist(), det_abs)])
     return {"det_abs": det_abs, "mcclelland_lower": lower, "slack_mcclelland_lower": energy - lower}
 
 
-def _structure_columns(graphs: Sequence[Graph], n: np.ndarray, m: np.ndarray,
-                       energy: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
+def _structure_columns(stacks: list, n: np.ndarray, m: np.ndarray, energy: np.ndarray,
+                       lam: np.ndarray) -> dict[str, np.ndarray]:
     """``_structure`` per vertex count, and what needs it: epsilon and the conjectures."""
-    b = len(graphs)
-    regular, connected = np.empty(b, bool), np.empty(b, bool)
-    walks3, root_sum = np.empty(b), np.empty(b)
-    for size, rows in group_by_n(n).items():
-        stack = adjacency_stack(size, [graphs[i].adj for i in rows])
+    regular, connected = np.empty(len(n), bool), np.empty(len(n), bool)
+    walks3, root_sum = np.empty(len(n)), np.empty(len(n))
+    for rows, stack in stacks:
         regular[rows], connected[rows], walks3[rows], root_sum[rows] = _structure(stack)
     edged = m >= 1
     epsilon = _where(edged, _epsilon, n, m, root_sum)
@@ -271,31 +269,32 @@ class _OnDemand(dict):
 class BoundTable:
     """Every BoundReport field of a batch of graphs, one numpy column per field.
 
-    ``column[field]`` holds the field per graph, in the order of ``graphs``,
+    ``column[field]`` holds the field per graph, in the order of ``pairs``,
     and ``column["walks3"]`` the closed 3-walks, six times the triangles.
     ``applies[name]`` marks the graphs where a bound (and its slack), t_nz,
     epsilon or beta is set; elsewhere the column holds nan and a BoundReport
-    None. ``values`` holds the spectra, one per row, zero-padded to the
-    longest. ``graph6(i)`` encodes row i's graph once, when first asked.
+    None. ``values`` holds the spectra from ``solve(stacks, b)``, one per row,
+    zero-padded to the longest. ``graph6(i)`` encodes row i once, when asked.
 
     Two column groups are built when one of their columns is first read:
-    ``determinants(graphs)``, called once at most, and McClelland's lower
-    bound; ``_structure`` and what needs connectivity or the root sum. So a
-    command pays only for the columns it reads. Everything else is built here.
+    ``determinants(stacks, b)``, called once at most, and McClelland's lower
+    bound; ``_structure`` and what needs connectivity or the root sum.
+    Everything else is built here.
     """
 
-    def __init__(self, graphs: Sequence[Graph], spectra: Sequence[Spectrum],
-                 determinants: Callable[[Sequence[Graph]], Sequence[int]],
+    def __init__(self, pairs: Sequence[tuple[int, int]], solve: Callable = spectra_of_stacks,
+                 determinants: Callable = determinants_of_stacks,
                  zero_tol: float = DEFAULT_ZERO_TOL):
-        self.graphs, self.spectra = graphs, spectra
-        self.values, col = spectral_columns(spectra, zero_tol)
-        b = len(graphs)
-        n = np.array([g.n for g in graphs], dtype=np.int64)
-        m = np.array([g.edge_count for g in graphs], dtype=np.int64)
-        energy, lam, t, t_nz, rank = (col[k] for k in ("energy", "lambda1", "t", "t_nz", "rank"))
+        self.pairs = pairs
+        n = np.array([size for size, _ in pairs], dtype=np.int64)
+        m = np.array([adj.bit_count() for _, adj in pairs], dtype=np.int64)
+        stacks = list(stacks_by_n(n, [adj for _, adj in pairs]))
+        self.values, energy = solve(stacks, len(pairs))
+        col = spectral_columns(self.values, energy, n, zero_tol)
+        lam, t, t_nz, rank = (col[k] for k in ("lambda1", "t", "t_nz", "rank"))
         edged = m >= 1
         applies = dict.fromkeys(("mcclelland_lower", "caporossi", "mcclelland_upper"),
-                                np.ones(b, bool))
+                                np.ones(len(n), bool))
         applies.update(t_nz=rank >= 1, main=edged, cor_nice=edged, amgm=edged,
                        rank_bound=edged & (rank >= 1), epsilon=edged, beta=edged)
         lower = {
@@ -311,8 +310,8 @@ class BoundTable:
                      beta=_where(edged, _beta, n, m, lam))
         # the group builders hold arrays, not the table: no reference cycle
         # keeps a finished chunk's table alive until the next full collection
-        dets = partial(_determinant_columns, graphs, n, m, energy, determinants)
-        structure = partial(_structure_columns, graphs, n, m, energy, lam)
+        dets = partial(_determinant_columns, stacks, n, m, energy, determinants)
+        structure = partial(_structure_columns, stacks, n, m, energy, lam)
         self.column = column = _OnDemand(
             dict.fromkeys(_DETERMINANT, dets) | dict.fromkeys(_STRUCTURE, structure), eager)
         conjectures = ("conj1", "conj2")  # on connected graphs with an edge
@@ -320,7 +319,7 @@ class BoundTable:
             dict.fromkeys(conjectures,
                           lambda: dict.fromkeys(conjectures, edged & column["is_connected"])),
             applies)
-        self.graph6 = cache(lambda i: write_graph6(graphs[i]))
+        self.graph6 = cache(lambda i: write_graph6(Graph(*pairs[i])))
 
     def report(self, i: int) -> BoundReport:
         """Row i as a BoundReport of Python scalars."""
@@ -340,5 +339,6 @@ def bound_report(
     Without a precomputed ``spectrum`` the graph is solved here.
     """
     spectrum = eigenvalues(g) if spectrum is None else spectrum
-    return BoundTable([g], [spectrum], lambda graphs: [determinant_exact(graphs[0])],
-                      zero_tol).report(0)
+    arrays = np.array([spectrum.values]), np.array([spectrum.energy])
+    return BoundTable([(g.n, g.adj)], lambda stacks, b: arrays,
+                      lambda stacks, b: [determinant_exact(g)], zero_tol).report(0)

@@ -9,10 +9,10 @@ the upper triangle, column by column, most significant bit first, offset by
 One routine, ``_bitsets``, turns payload bytes into edge bitsets, for any
 number of lines of one size at once. ``parse_graph6`` is its one-line case.
 ``stream_corpus`` reads a block of lines ahead, checks size byte, payload
-length and byte range for the whole block as numpy masks, and unpacks each
-size's lines in one call. A line the masks flag (a header, a bad or
-non-ASCII line) goes through ``parse_graph6``, so every error and skip is
-the per-line one, in line order.
+length and byte range for the whole block as numpy masks (Graph's checks,
+which its Graphs skip), and unpacks each size's lines in one call. A line
+the masks flag (a header, a bad or non-ASCII line) goes through
+``parse_graph6``, so every error and skip is the per-line one, in line order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     HeaderMismatch,
     TruncatedBits,
 )
-from .graphs import MAX_VERTICES, Graph, msb_first, pair_count
+from .graphs import MAX_VERTICES, Graph, msb_first, pair_count, trusted_graphs
 
 HEADER = ">>graph6<<"
 
@@ -114,8 +114,8 @@ def _decode_block(lines: list[str]) -> list[Graph | None]:
         rows = np.flatnonzero(ok & (size == n))
         need = (pair_count(n) + 5) // 6
         payload = buf[starts[rows, None] + np.arange(1, need + 1)] - np.uint8(63)
-        for k, adj in zip(rows.tolist(), _bitsets(n, payload)):
-            out[k] = Graph(n, adj)
+        for k, g in zip(rows.tolist(), trusted_graphs(n, _bitsets(n, payload))):
+            out[k] = g  # the masks made Graph's checks: 1 <= n <= 62, C(n, 2) bits
     return out
 
 

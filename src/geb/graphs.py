@@ -6,8 +6,8 @@ the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``, the
 column-by-column order of the graph6 format. Isolated vertices are legal (n
 is stored separately from the bits). Only this module decodes the bitset,
 in one of two ways: for the predicates, ``edges`` and ``neighbor_masks`` read
-one memoized Python scan per graph; for the eigensolver and the enumerator,
-``adjacency_stack`` unpacks many bitsets into 0/1 matrices at once.
+one memoized Python scan per graph; for everything else, ``adjacency_stack``
+unpacks many bitsets into 0/1 matrices at once, one per vertex count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,6 +119,24 @@ def adjacency_stack(n: int, bitsets: Sequence[int]) -> np.ndarray:
         j, i = np.tril_indices(n, -1)  # row-major lower triangle = pairs_in_order(n)
         stack[:, i, j] = stack[:, j, i] = cols
     return stack
+
+
+def stacks_by_n(sizes: Sequence[int], bitsets: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Per vertex count of a batch of graphs, its rows and their (k, n, n) adjacency stack."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    for n in dict.fromkeys(sizes.tolist()):  # not np.unique: it imports numpy.ma on first use
+        rows = np.flatnonzero(sizes == n)
+        yield rows, adjacency_stack(n, [bitsets[i] for i in rows.tolist()])
+
+
+def trusted_graphs(n: int, bitsets: Iterable[int]) -> list[Graph]:
+    """``Graph(n, adj)`` per bitset, without ``__post_init__``: for bitsets known to fit n."""
+    graphs = []
+    for adj in bitsets:
+        graphs.append(g := object.__new__(Graph))
+        state = g.__dict__  # the frozen fields, as __init__ sets them
+        state["n"], state["adj"] = n, adj
+    return graphs
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

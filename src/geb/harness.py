@@ -1,20 +1,16 @@
 """Corpus drivers: soundness verification, conjecture checks, equality search.
 
-verify, conjectures and equality each fold chunks of graphs into one
-CorpusSummary, through one chunk loop. It solves the chunk's spectra in one
-batch, and ``bounds.BoundTable`` evaluates every bound on them as a numpy
-column over the chunk. The table builds the exact determinants (one batch)
-and the structure columns only when a visitor first reads one of their
-columns: ``conjectures`` never solves a determinant, and ``equality``
-builds neither group unless its bound needs it. The verdicts are taken
-column-wise too: every invariant row, the Grüss product-sum chain and
-identity (``gruss.energy_chain``'s arithmetic, bit for bit, without its
-vectors) and the spectral moment rows are vector expressions, a least slack
-is an argmin with exact ties going to the smaller graph6, and violations and
-hits are masks. Only the graphs named in a verdict are encoded as graph6.
-Chunks may go to worker processes as (n, edge bitset) pairs; the merge is
-commutative and the final lists are sorted, so the outcome is identical for
-any worker count and any chunk order.
+verify, conjectures and equality fold chunks of graphs into one
+CorpusSummary. A chunk travels as (n, edge bitset) pairs, in this process or
+to a worker, and becomes one ``bounds.BoundTable``. The verdicts are taken
+column-wise: every invariant row, the Grüss product-sum chain and identity
+(``gruss.energy_chain``'s arithmetic, bit for bit, without its vectors) and
+the spectral moment rows are vector expressions, a least slack is an argmin
+with exact ties going to the smaller graph6, and violations and hits are
+masks. Only the rows a verdict names become Graphs again, for their graph6
+and the complete-bipartite test. The merge is commutative and the final
+lists are sorted, so the outcome is identical for any worker count and any
+chunk order.
 """
 
 from __future__ import annotations
@@ -28,13 +24,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-# bound_report, energy_chain and spectral_stats are not called here; they stay
-# importable from this module because perfbench/tracing.py's CALL_SITES patch them
+# bound_report, eigenvalues_batch, energy_chain and spectral_stats are not called here;
+# they stay importable from this module because perfbench/tracing.py's sites patch them
 from .bounds import BoundTable, bound_report  # noqa: F401
 from .graphs import Graph, is_complete_bipartite
 from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
-from .spectral import (DEFAULT_ZERO_TOL, determinants_exact, eigenvalues_batch,  # noqa: F401
-                       sequential_sum, spectral_stats)
+from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
+                       sequential_sum, spectra_of_stacks, spectral_stats)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EQUALITY_EPS = 1e-7
@@ -212,7 +208,8 @@ def _verify(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
 
 def _conjectures(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
     def spectrum(i: int) -> str:
-        return "spectrum=[" + ", ".join(f"{v:.12g}" for v in table.spectra[i].values) + "]"
+        values = table.values[i, : table.column["n"][i]].tolist()
+        return "spectrum=[" + ", ".join(f"{v:.12g}" for v in values) + "]"
 
     # both conjectures apply on exactly the connected graphs with an edge
     rows = _bound(summary, table, "conj1", tol, spectrum)
@@ -226,28 +223,20 @@ def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float)
     slack = table.column["slack_" + bound]
     for i in np.flatnonzero(rows & (np.abs(slack) <= eps)).tolist():
         summary.equality_hits.append(EqualityHit(
-            table.graph6(i), bound, float(slack[i]), is_complete_bipartite(table.graphs[i])))
+            table.graph6(i), bound, float(slack[i]), is_complete_bipartite(Graph(*table.pairs[i]))))
 
 
-def _chunk(visit: Callable[..., None], zero_tol: float, graphs: list[Graph]) -> CorpusSummary:
-    """Solve the chunk's spectra in one batch, then visit its BoundTable.
+def _chunk(visit: Callable[..., None], zero_tol: float,
+           pairs: list[tuple[int, int]]) -> CorpusSummary:
+    """Visit the BoundTable of a chunk of graphs, given as (n, edge bitset) pairs.
 
-    The table solves the chunk's exact determinants in one batch too, if the
-    visitor reads a column that needs them. The solver always terminates. A
-    wrong spectrum costs only its graph, through the moment rows and the
-    Grüss identity rows of ``verify``.
+    The solver always terminates. A wrong spectrum costs only its graph,
+    through the moment rows and the Grüss identity rows of ``verify``.
     """
-    summary = CorpusSummary(graphs_seen=len(graphs))
-    # both solvers stay this module's globals, read here: tests patch them, and
-    # perfbench's EIG_SITES wraps eigenvalues_batch
-    visit(summary, BoundTable(graphs, eigenvalues_batch(graphs), determinants_exact, zero_tol))
+    summary = CorpusSummary(graphs_seen=len(pairs))
+    # both solvers stay this module's globals, read here: tests patch them
+    visit(summary, BoundTable(pairs, spectra_of_stacks, determinants_of_stacks, zero_tol))
     return summary
-
-
-def _pair_chunk(visit: Callable[..., None], zero_tol: float,
-                pairs: list[tuple[int, int]]) -> CorpusSummary:
-    """``_chunk`` on graphs sent as (n, edge bitset) pairs, which pickle small."""
-    return _chunk(visit, zero_tol, [Graph(n, adj) for n, adj in pairs])
 
 
 def _run(
@@ -255,9 +244,11 @@ def _run(
 ) -> CorpusSummary:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform tells; else all of them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, cpus or 1)
     source = iter(graphs)
-    chunks = iter(lambda: list(islice(source, _CHUNK_SIZE)), [])
+    chunks = iter(lambda: [(g.n, g.adj) for g in islice(source, _CHUNK_SIZE)], [])
     summary = CorpusSummary()
     if workers == 1:
         for chunk in chunks:
@@ -266,14 +257,13 @@ def _run(
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         # two chunks per worker in flight at most, so memory stays bounded
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            remote = partial(_pair_chunk, visit, zero_tol)
-            pairs = ([(g.n, g.adj) for g in chunk] for chunk in chunks)
-            pending = {pool.submit(remote, chunk) for chunk in islice(pairs, 2 * workers)}
+            remote = partial(_chunk, visit, zero_tol)
+            pending = {pool.submit(remote, chunk) for chunk in islice(chunks, 2 * workers)}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     summary.merge(future.result())
-                    pending.update(pool.submit(remote, chunk) for chunk in islice(pairs, 1))
+                    pending.update(pool.submit(remote, chunk) for chunk in islice(chunks, 1))
     return summary.finalize()
 
 

@@ -1,36 +1,35 @@
 """Adjacency eigenvalues, derived spectral scalars, and exact integer checks.
 
-One in-house eigensolver takes a whole stack of same-size symmetric matrices
-at once: Householder reduction to tridiagonal form, then bisection of every
-eigenvalue of the batch together on Sturm counts (Barth, Martin & Wilkinson
-1967), with the batch on the last axis so that each numpy step runs along it.
-It takes n - 2 reflections on (m, b) and (m, m, b) operands, whose sums
-replay numpy's pairwise summation order, and 53 or 54 bisection steps of n
-row steps, each a few numpy calls on contiguous (n, b) operands of one shape.
-It always terminates, and a matrix's eigenvalues do not depend on which other
-matrices share its batch. ``spectral_columns`` derives the SpectralStats of many
-spectra at once, as numpy columns; ``spectral_stats`` is its row 0.
+Everything here runs on the stacks of same-size 0/1 matrices that
+``graphs.stacks_by_n`` yields, one per vertex count. The eigensolver reduces a
+stack to tridiagonal form by Householder reflections, then bisects all its
+eigenvalues together on Sturm counts (Barth, Martin & Wilkinson 1967), batch
+last so that each numpy step runs along the batch, in numpy's pairwise
+summation order. It always terminates, and no eigenvalue depends on the
+batch. ``spectra_of_stacks`` returns a zero-padded (b, n_max) array of
+descending values and an energy column; ``spectral_columns`` derives the
+SpectralStats fields from them as columns. ``eigenvalues_batch`` and
+``spectral_stats`` wrap both for Graphs and Spectrum objects.
 
-Exact companions: ``determinants_exact`` takes a whole stack too. Its first
-18 fraction-free elimination steps (Bareiss 1968) run once, in float64, where
-every value is a 0/1 minor small enough to be exact. From 20 vertices on, the
-trailing block is eliminated modulo one prime below 2**24 at a time, with as
-many primes as Hadamard's row-norm bound needs, and the residues are joined by
-the Chinese remainder theorem (von zur Gathen & Gerhard, *Modern Computer
-Algebra*, ch. 5); McClelland's lower bound reads them.
-``integer_rank`` runs a division-free row echelon over Python ints. It is a
-library function that no command calls; tests check the float rank against it.
+``determinants_of_stacks`` reads the same stacks. Its first 18 fraction-free
+elimination steps (Bareiss 1968) run once, in float64, where every value is
+a 0/1 minor small enough to be exact. From 20 vertices on, the trailing block
+is eliminated modulo one prime below 2**24 at a time, with as many primes as
+Hadamard's row-norm bound needs, joined by the Chinese remainder theorem (von
+zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5). ``integer_rank``
+runs a division-free row echelon over Python ints; no command calls it, and
+tests check the float rank against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, adjacency_stack
+from .graphs import MAX_VERTICES, Graph, adjacency_stack, stacks_by_n
 
 DEFAULT_ZERO_TOL = 1e-8
 _COUNT = np.min_scalar_type(MAX_VERTICES)  # the bisection's Sturm counts, 0..n
@@ -195,24 +194,6 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         np.greater(np.subtract(hi, lo, out=t), tol, out=active)
 
 
-def group_by_n(sizes: Sequence[int] | np.ndarray) -> dict[int, list[int]]:
-    """The indices of a batch's vertex counts, grouped by count."""
-    sizes = np.asarray(sizes, dtype=np.int64)  # not np.unique: it imports numpy.ma on first use
-    return {n: np.flatnonzero(sizes == n).tolist() for n in dict.fromkeys(sizes.tolist())}
-
-
-def _stacks_by_n(graphs: Sequence[Graph], dtype: type) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per vertex count, the graphs' indices and their (n, n, b) adjacency stack.
-
-    Batch last and contiguous, so that every row operation runs over
-    contiguous memory; a kernel call per group frees its buffers before the
-    next group allocates.
-    """
-    for n, indices in group_by_n([g.n for g in graphs]).items():
-        yield indices, np.ascontiguousarray(
-            adjacency_stack(n, [graphs[i].adj for i in indices]).transpose(1, 2, 0), dtype=dtype)
-
-
 def sequential_sum(x: np.ndarray) -> np.ndarray:
     """Row sums of a 2-D array, added left to right as Python's ``sum`` adds.
 
@@ -221,18 +202,34 @@ def sequential_sum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
 
 
-def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
-    """Spectra for many graphs at once (grouped internally by vertex count).
+def spectra_of_stacks(stacks: Iterable[tuple], b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and energies of b graphs, given as ``graphs.stacks_by_n`` groups.
 
-    The energy adds the absolute eigenvalues largest first.
+    Row i of the (b, n_max) values holds graph i's eigenvalues, descending,
+    then zeros. The energy adds the absolute eigenvalues largest first. Each
+    group is one kernel call, on a batch-last float copy of its stack; ``map``
+    keeps no stack, so one that only ``stacks`` yielded is freed before it.
     """
-    out: list[Spectrum | None] = [None] * len(graphs)
-    for indices, stack in _stacks_by_n(graphs, float):
-        diags = -np.sort(-_tridiagonal_eigenvalues_stack(stack), axis=1)
-        energies = sequential_sum(-np.sort(-np.abs(diags), axis=1))
-        for idx, values, energy in zip(indices, diags.tolist(), energies.tolist()):
-            out[idx] = Spectrum(tuple(values), energy)
-    return out  # type: ignore[return-value]
+    solved = [(rows, -np.sort(-_tridiagonal_eigenvalues_stack(a), axis=1))
+              for rows, a in map(_float_batch_last, stacks)]
+    values = np.zeros((b, max((diags.shape[1] for _, diags in solved), default=1)))
+    energy = np.zeros(b)
+    for rows, diags in solved:
+        values[rows, : diags.shape[1]] = diags
+        energy[rows] = sequential_sum(-np.sort(-np.abs(diags), axis=1))
+    return values, energy
+
+
+def _float_batch_last(group: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    return group[0], np.ascontiguousarray(group[1].transpose(1, 2, 0), dtype=float)
+
+
+def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
+    """Spectra for many graphs at once (grouped internally by vertex count)."""
+    stacks = stacks_by_n([g.n for g in graphs], [g.adj for g in graphs])
+    values, energy = spectra_of_stacks(stacks, len(graphs))
+    return [Spectrum(tuple(row[: g.n]), e)
+            for g, row, e in zip(graphs, values.tolist(), energy.tolist())]
 
 
 def eigenvalues(g: Graph) -> Spectrum:
@@ -240,37 +237,26 @@ def eigenvalues(g: Graph) -> Spectrum:
     return eigenvalues_batch([g])[0]
 
 
-def spectral_columns(
-    spectra: Sequence[Spectrum], zero_tol: float = DEFAULT_ZERO_TOL
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Many spectra as one array, and each SpectralStats field but zero_tol as a column.
+def spectral_columns(values: np.ndarray, energy: np.ndarray, sizes: np.ndarray,
+                     zero_tol: float = DEFAULT_ZERO_TOL) -> dict[str, np.ndarray]:
+    """Each SpectralStats field but zero_tol, as a column, of ``spectra_of_stacks`` arrays.
 
-    The array holds one spectrum per row, zero-padded to the longest. Entry i
-    of a column belongs to ``spectra[i]``; t_nz is nan where the rank is 0.
-    """
+    ``sizes`` holds each row's vertex count; t_nz is nan where the rank is 0."""
     if not zero_tol > 0:  # also refuses NaN
         raise ValueError("zero_tol must be positive")
-    sizes = np.array([s.n for s in spectra], dtype=np.int64)
-    values = np.zeros((len(spectra), sizes.max(initial=1)))
-    for n, rows in group_by_n(sizes).items():
-        values[rows, :n] = [spectra[i].values for i in rows]
     mags = np.abs(values)
     nonzero = mags > zero_tol
     rank = nonzero.sum(axis=1)
     t_nz = np.where(nonzero, mags, np.inf).min(axis=1)
     t_nz[rank == 0] = np.nan
-    return values, {
-        "energy": np.array([s.energy for s in spectra]),
-        "lambda1": values[:, 0],
-        "t": np.where(rank == sizes, t_nz, 0.0),  # on singular spectra min abs is noise
-        "t_nz": t_nz,
-        "rank": rank,
-    }
+    t = np.where(rank == sizes, t_nz, 0.0)  # on singular spectra min abs is noise
+    return {"energy": energy, "lambda1": values[:, 0], "t": t, "t_nz": t_nz, "rank": rank}
 
 
 def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralStats:
     """Extract E, lambda_1, t, t_nz and the numerical rank: row 0 of ``spectral_columns``."""
-    row = {name: col.tolist()[0] for name, col in spectral_columns([spec], zero_tol)[1].items()}
+    columns = spectral_columns(np.array([spec.values]), np.array([spec.energy]), spec.n, zero_tol)
+    row = {name: col.tolist()[0] for name, col in columns.items()}
     if not row["rank"]:
         row["t_nz"] = None
     return SpectralStats(**row, zero_tol=zero_tol)
@@ -397,7 +383,7 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
 
 
 def _stack_determinants(stack: np.ndarray) -> list[int]:
-    """Exact determinants of an (n, n, b) 0/1 stack, batch last.
+    """Exact determinants of an (n, n, b) 0/1 stack, batch last (a view will do).
 
     Below 20 vertices the float64 Bareiss steps leave a 1 x 1 block, sign * det,
     and no prime runs. From 20 on, the trailing (n - 18)^2 block is eliminated
@@ -422,13 +408,19 @@ def _stack_determinants(stack: np.ndarray) -> list[int]:
     return [t - modulus if 2 * t > modulus else t for t in (t % modulus for t in total)]
 
 
+def determinants_of_stacks(stacks: Sequence[tuple[np.ndarray, np.ndarray]], b: int) -> list[int]:
+    """Exact adjacency determinants of b graphs, given as ``graphs.stacks_by_n`` groups."""
+    out = [0] * b
+    for rows, stack in stacks:
+        for i, det in zip(rows.tolist(), _stack_determinants(stack.transpose(1, 2, 0))):
+            out[i] = det
+    return out
+
+
 def determinants_exact(graphs: Sequence[Graph]) -> list[int]:
     """Exact adjacency determinants of many graphs at once (grouped by vertex count)."""
-    out = [0] * len(graphs)
-    for indices, stack in _stacks_by_n(graphs, np.uint8):
-        for idx, det in zip(indices, _stack_determinants(stack)):
-            out[idx] = det
-    return out
+    stacks = stacks_by_n([g.n for g in graphs], [g.adj for g in graphs])
+    return determinants_of_stacks(stacks, len(graphs))
 
 
 def determinant_exact(g: Graph) -> int:

@@ -1,5 +1,6 @@
 """graph6 encoding, decoding, and corpus streaming."""
 
+import dataclasses
 import io
 from unittest import mock
 
@@ -246,6 +247,24 @@ def test_block_decode_equals_the_per_line_oracle(first, lines, block, skip):
     with mock.patch.object(graph6, "_BLOCK", block):
         got = outcome(stream_corpus, text, skip)
     assert got == outcome(per_line, text, skip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["", HEADER + "\n", HEADER + "\r\n"]), st.lists(corpus_lines(), max_size=40),
+       st.integers(1, 8))
+def test_block_decoded_graphs_equal_checked_ones(first, lines, block):
+    # the block decoder builds its Graphs without __post_init__: they must be
+    # indistinguishable from Graph(n, adj)
+    with mock.patch.object(graph6, "_BLOCK", block):
+        decoded = [g for _, g in stream_corpus(io.StringIO(first + "".join(lines), newline=""),
+                                               lambda lineno, exc: None)]
+    for g in decoded:
+        checked = Graph(g.n, g.adj)
+        assert type(g) is Graph and vars(g) == vars(checked) and repr(g) == repr(checked)
+        assert g == checked and hash(g) == hash(checked)
+        assert g.edges() == checked.edges() and g.neighbor_masks() == checked.neighbor_masks()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.adj = 0
 
 
 def test_bad_lines_on_both_sides_of_a_block_boundary(data_dir):

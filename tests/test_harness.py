@@ -3,18 +3,22 @@
 import concurrent.futures
 import itertools
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from concurrent.futures import Executor, Future
 
+import numpy as np
 import pytest
 
 from geb.bounds import BoundTable, bound_report
 from geb.enumeration import canonical_form, enumerate_connected
 from geb.graph6 import parse_graph6, write_graph6
 from geb.graphs import (
-    Graph, complete, complete_bipartite, cycle, from_edge_list, path, petersen,
+    Graph, adjacency_stack, complete, complete_bipartite, cycle, from_edge_list, path, petersen,
+    stacks_by_n,
 )
 from geb.harness import (
     EQUALITY_BOUNDS,
@@ -79,7 +83,7 @@ def test_verify_empty_corpus():
 def test_visitors_leave_an_empty_table_alone(visit):
     # _run makes no empty chunk, but a table of zero graphs is still a table
     summary = CorpusSummary()
-    visit(summary, BoundTable([], [], spectral.determinants_exact))
+    visit(summary, BoundTable([]))
     assert summaries_equal(summary, CorpusSummary())
 
 
@@ -250,7 +254,7 @@ def test_each_graph_is_decoded_once(monkeypatch):
     # decode, except once for each equality hit's complete-bipartite check
     decoded = []
     decode = graphs._decode
-    monkeypatch.setattr(graphs, "_decode", lambda g: decoded.append(id(g)) or decode(g))
+    monkeypatch.setattr(graphs, "_decode", lambda g: decoded.append((g.n, g.adj)) or decode(g))
 
     bound_report(Graph(10, petersen().adj))  # a fresh graph: nothing decoded yet
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]  # may decode its own graphs
@@ -260,7 +264,7 @@ def test_each_graph_is_decoded_once(monkeypatch):
 
     hits = {h.graph6 for h in run_equality(fresh, bound="cor_nice").equality_hits}
     assert len(hits) == 2
-    assert sorted(decoded) == sorted(id(g) for g in fresh if write_graph6(g) in hits)
+    assert sorted(decoded) == sorted((g.n, g.adj) for g in fresh if write_graph6(g) in hits)
 
 
 @pytest.mark.parametrize("run", [run_verify, run_conjectures, partial(run_equality, bound="main")],
@@ -272,7 +276,8 @@ def test_each_graph_derives_its_spectral_stats_once(monkeypatch, run):
     batches = []
     derive = bounds.spectral_columns
     monkeypatch.setattr(bounds, "spectral_columns",
-                        lambda spectra, *args: batches.append(list(spectra)) or derive(spectra, *args))
+                        lambda values, energy, *args: batches.append((values, energy))
+                        or derive(values, energy, *args))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a per-graph SpectralStats was derived")
@@ -280,8 +285,10 @@ def test_each_graph_derives_its_spectral_stats_once(monkeypatch, run):
     for module in (harness, bounds, spectral):
         monkeypatch.setattr(module, "spectral_stats", refuse)
     run(fresh)
-    assert [len(batch) for batch in batches] == [8, 8, 5]
-    assert [spec for batch in batches for spec in batch] == spectral.eigenvalues_batch(fresh)
+    assert [len(values) for values, _ in batches] == [8, 8, 5]
+    assert ([Spectrum(tuple(row), e) for values, energy in batches
+             for row, e in zip(values.tolist(), energy.tolist())]
+            == spectral.eigenvalues_batch(fresh))
 
 
 def connected8(data_dir):
@@ -293,10 +300,10 @@ def test_conjectures_and_main_equality_solve_no_determinant(monkeypatch, data_di
     runs = (run_conjectures, partial(run_equality, bound="main"))
     want = [run(corpus) for run in runs]
 
-    def refuse(graphs):
+    def refuse(stacks, b):
         raise AssertionError("exact determinants were solved")
 
-    monkeypatch.setattr(harness, "determinants_exact", refuse)
+    monkeypatch.setattr(harness, "determinants_of_stacks", refuse)
     assert all(summaries_equal(run(corpus), summary) for run, summary in zip(runs, want))
 
 
@@ -317,18 +324,68 @@ def test_equality_builds_no_structure_columns(monkeypatch, bound):
 def test_determinants_are_solved_once_per_chunk(monkeypatch, data_dir, run):
     corpus = connected8(data_dir)
     solved = []
-    solve = harness.determinants_exact
-    monkeypatch.setattr(harness, "determinants_exact",
-                        lambda graphs: solved.append(list(graphs)) or solve(graphs))
+    solve = harness.determinants_of_stacks
+
+    def noting(stacks, b):
+        """Note the call's adjacency matrices, by row."""
+        matrices = [None] * b
+        for rows, stack in stacks:
+            for i, matrix in zip(rows.tolist(), stack):
+                matrices[i] = matrix.tobytes()
+        solved.append(matrices)
+        return solve(stacks, b)
+
+    monkeypatch.setattr(harness, "determinants_of_stacks", noting)
     run(corpus)
-    assert solved == [corpus[k : k + 1024] for k in range(0, len(corpus), 1024)]
+    matrices = [matrix.tobytes() for matrix in adjacency_stack(8, [g.adj for g in corpus])]
+    assert solved == [matrices[k : k + 1024] for k in range(0, len(corpus), 1024)]
+
+
+def counted_stacks(monkeypatch):
+    """Count ``adjacency_stack`` calls, under every name geb holds it by, as (n, graphs)."""
+    calls = []
+    build = graphs.adjacency_stack
+
+    def counted(n, bitsets):
+        calls.append((n, len(bitsets)))
+        return build(n, bitsets)
+
+    for module in (graphs, spectral, bounds, harness):
+        if hasattr(module, "adjacency_stack"):
+            monkeypatch.setattr(module, "adjacency_stack", counted)
+    return calls
+
+
+def test_each_chunk_builds_one_adjacency_stack_per_vertex_count(monkeypatch, data_dir):
+    # verify reads the solve, the determinants and the structure columns: all from one stack
+    corpus = connected8(data_dir)
+    calls = counted_stacks(monkeypatch)
+    run_verify(corpus)
+    assert calls == [(8, 1024)] * 10 + [(8, 877)]
+
+    mixed = small_corpus() + [parse_graph6(line) for line in
+                              (data_dir / "gnp_small.g6").read_text(encoding="ascii").split()]
+    random.Random(5).shuffle(mixed)
+    monkeypatch.setattr(harness, "_CHUNK_SIZE", 40)
+    calls.clear()
+    run_verify(mixed)
+    assert calls == [(n, count) for k in range(0, len(mixed), 40)
+                     for n, count in Counter(g.n for g in mixed[k : k + 40]).items()]
+
+
+def rows_of(stacks, g):
+    """The rows of a chunk's ``stacks_by_n`` groups that hold graph g."""
+    want = adjacency_stack(g.n, [g.adj])[0]
+    return [i for rows, stack in stacks if stack.shape[1] == g.n
+            for i, matrix in zip(rows.tolist(), stack) if (matrix == want).all()]
 
 
 def test_in_chunk_ties_go_to_the_smaller_graph6(monkeypatch):
     # two labelings of K_{1,3} given one identical spectrum tie on every slack
     stars = [from_edge_list(4, [(c, v) for v in range(4) if v != c]) for c in (0, 3)]
-    spec = harness.eigenvalues_batch(stars[:1])[0]
-    monkeypatch.setattr(harness, "eigenvalues_batch", lambda graphs: [spec] * len(graphs))
+    values, energy = harness.spectra_of_stacks(stacks_by_n([4], [stars[0].adj]), 1)
+    monkeypatch.setattr(harness, "spectra_of_stacks",
+                        lambda stacks, b: (values.repeat(b, axis=0), energy.repeat(b)))
     names = sorted(write_graph6(g) for g in stars)
     assert names[0] != names[1]
     for corpus in (stars, stars[::-1]):
@@ -339,18 +396,17 @@ def test_in_chunk_ties_go_to_the_smaller_graph6(monkeypatch):
 
 
 def test_moment_rows_flag_a_perturbed_eigenvalue(monkeypatch):
-    solve = harness.eigenvalues_batch
+    solve = harness.spectra_of_stacks
     c5 = write_graph6(cycle(5))
 
-    def perturbed(graphs):
+    def perturbed(stacks, b):
         """cycle(5) gets lambda1 = 2 + 1e-4, with its energy unchanged."""
-        out = solve(graphs)
-        for i, g in enumerate(graphs):
-            if g == cycle(5):
-                out[i] = Spectrum((out[i].values[0] + 1e-4,) + out[i].values[1:], out[i].energy)
-        return out
+        values, energy = solve(stacks, b)
+        for i in rows_of(stacks, cycle(5)):
+            values[i, 0] += 1e-4
+        return values, energy
 
-    monkeypatch.setattr(harness, "eigenvalues_batch", perturbed)
+    monkeypatch.setattr(harness, "spectra_of_stacks", perturbed)
     summary = run_verify([path(4), cycle(5), petersen(), complete_bipartite(2, 3)])
     assert {v.graph6 for v in summary.violations} == {c5}
     moments = [(v.graph6, v.bound_name) for v in summary.violations
@@ -363,12 +419,13 @@ def test_moment_rows_flag_a_perturbed_eigenvalue(monkeypatch):
     (-0.5, ["gruss:identity", "gruss:identity:restricted"]),  # P != E^2 - 2m
 ])
 def test_gruss_violations_are_reported(monkeypatch, shift, names):
-    solve = harness.eigenvalues_batch
+    solve = harness.spectra_of_stacks
 
-    def shifted(graphs):
-        return [Spectrum(s.values, s.energy + shift) for s in solve(graphs)]
+    def shifted(stacks, b):
+        values, energy = solve(stacks, b)
+        return values, energy + shift
 
-    monkeypatch.setattr(harness, "eigenvalues_batch", shifted)
+    monkeypatch.setattr(harness, "spectra_of_stacks", shifted)
     summary = run_verify([path(4)])
     assert [v.bound_name for v in summary.violations if v.bound_name.startswith("gruss:")] == names
 
@@ -396,7 +453,8 @@ def reference_gruss_rows(g, spec):
 def test_gruss_rows_match_the_reference_chain(monkeypatch, g, shift):
     spec = harness.eigenvalues_batch([g])[0]
     spec = Spectrum(spec.values, spec.energy + shift)
-    monkeypatch.setattr(harness, "eigenvalues_batch", lambda graphs: [spec])
+    monkeypatch.setattr(harness, "spectra_of_stacks",
+                        lambda stacks, b: (np.array([spec.values]), np.array([spec.energy])))
     summary = run_verify([g])
     got = [(v.bound_name, repr(v.bound_value), repr(v.energy), v.detail)
            for v in summary.violations if v.bound_name.startswith("gruss:")]
@@ -404,18 +462,19 @@ def test_gruss_rows_match_the_reference_chain(monkeypatch, g, shift):
 
 
 def test_perron_breach_costs_one_graph(monkeypatch):
-    solve = harness.eigenvalues_batch
+    solve = harness.spectra_of_stacks
 
-    def breached(graphs):
+    def breached(stacks, b):
         """path(4) gets a smallest eigenvalue just past -lambda1."""
-        out = solve(graphs)
-        for i, g in enumerate(graphs):
-            if g == path(4):
-                values = out[i].values[:-1] + (-(out[i].values[0] + 1e-9),)
-                out[i] = Spectrum(values, sum(sorted((abs(v) for v in values), reverse=True)))
-        return out
+        values, energy = solve(stacks, b)
+        for i in rows_of(stacks, path(4)):
+            row = values[i, :4].tolist()
+            row[-1] = -(row[0] + 1e-9)
+            values[i, :4] = row
+            energy[i] = sum(sorted((abs(v) for v in row), reverse=True))
+        return values, energy
 
-    monkeypatch.setattr(harness, "eigenvalues_batch", breached)
+    monkeypatch.setattr(harness, "spectra_of_stacks", breached)
     summary = run_verify([path(4), cycle(5)])
     assert summary.graphs_seen == 2
     chain = [(v.graph6, v.bound_name) for v in summary.violations
@@ -459,6 +518,7 @@ def inline_pool(monkeypatch, cpus, submitted=None):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     return sizes
 
 
@@ -483,6 +543,21 @@ def test_workers_are_capped_at_the_cpu_count(monkeypatch):
     capped = run_verify(small_corpus(), jobs=100_000)
     assert sizes == [3]
     assert summaries_equal(capped, run_verify(small_corpus()))
+
+
+def test_one_cpu_affinity_runs_two_jobs_in_process(monkeypatch):
+    # taskset -c 0 geb verify --jobs 2: two workers would share one CPU
+    sizes = inline_pool(monkeypatch, cpus=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert summaries_equal(run_verify(small_corpus(), jobs=2), run_verify(small_corpus()))
+    assert sizes == []
+
+
+def test_workers_are_capped_at_the_cpu_count_without_affinity(monkeypatch):
+    sizes = inline_pool(monkeypatch, cpus=3)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    run_verify(small_corpus(), jobs=4)
+    assert sizes == [3]
 
 
 def test_pool_pulls_a_bounded_window_of_chunks(monkeypatch):

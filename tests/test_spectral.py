@@ -32,6 +32,7 @@ from geb.graphs import (
     pair_count,
     path,
     petersen,
+    stacks_by_n,
     triangle_count,
 )
 from geb.spectral import (
@@ -45,8 +46,8 @@ from geb.spectral import (
     determinants_exact,
     eigenvalues,
     eigenvalues_batch,
-    group_by_n,
     integer_rank,
+    spectra_of_stacks,
     spectral_stats,
 )
 
@@ -292,6 +293,24 @@ def test_edgeless_spectrum_is_positive_zero(n):
         assert np.float64(spec.energy).tobytes() == np.zeros(1).tobytes()
 
 
+def test_array_spectra_equal_the_spectrum_objects_by_bytes():
+    # the corpus path reads the arrays; report and the library read Spectrum objects
+    graphs = [complete(62), Graph(1, 0), petersen(), Graph(7, 0), path(3),
+              complete_bipartite(31, 31), Graph(1, 0), cycle(5), complete(62)]
+    values, energy = spectra_of_stacks(stacks_by_n([g.n for g in graphs], [g.adj for g in graphs]),
+                                       len(graphs))
+    assert values.shape == (len(graphs), 62) and energy.shape == (len(graphs),)
+    for row, e, g, spec in zip(values, energy, graphs, eigenvalues_batch(graphs)):
+        assert spec == eigenvalues(g)  # the batch does not change a spectrum
+        assert row[: g.n].tobytes() == np.array(spec.values).tobytes()
+        assert row[g.n :].tobytes() == np.zeros(62 - g.n).tobytes()  # +0.0 padding
+        assert e.tobytes() == np.float64(spec.energy).tobytes()
+    assert values[3].tobytes() == np.zeros(62).tobytes()  # the edgeless graph: +0.0 only
+    assert values[1].tobytes() == np.zeros(62).tobytes() and energy[1] == 0.0  # n = 1
+    empty = spectra_of_stacks(stacks_by_n([], []), 0)
+    assert [a.shape for a in empty] == [(0, 1), (0,)]
+
+
 @pytest.mark.parametrize("b", [1, 3, 1024])
 def test_pairwise_sum_keeps_numpys_order(b):
     # the solver's sums over axis 0 must round as np.sum along a contiguous
@@ -308,8 +327,7 @@ def test_pairwise_sum_keeps_numpys_order(b):
 def test_bisection_matches_the_row_major_loop_on_corpora(data_dir, corpus):
     with open(data_dir / corpus, encoding="ascii") as fh:
         graphs = [parse_graph6(line) for line in fh]
-    for n, rows in group_by_n([g.n for g in graphs]).items():
-        stack = adjacency_stack(n, [graphs[i].adj for i in rows])
+    for _, stack in stacks_by_n([g.n for g in graphs], [g.adj for g in graphs]):
         assert_bisection_matches_oracle(stack)
         assert_bisection_matches_oracle(stack[:1])  # a batch of one
 
