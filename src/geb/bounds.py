@@ -15,21 +15,23 @@ nonzero absolute eigenvalue t_nz:
 and upper bounds sqrt(2mn) (``mcclelland_upper``) and 2m / sqrt(lambda1)
 (``conj2_upper``, conjectural, connected only).
 
-``BoundTable`` evaluates everything on a batch of (n, bitset) pairs at once,
-one numpy column per ``BoundReport`` field, with the slack E - bound (bound -
-E for uppers). One adjacency stack per vertex count feeds the solve, the
-exact determinants and the structure columns (connectivity, triangles,
-epsilon, the conjectures); the last two are built when first read, so a
-command pays only for what it reads. The bound functions take scalars and
-columns alike. Only ``mcclelland_lower`` runs per graph, in ``math``: numpy's
-exp and log may differ from it in the last bit. Sums add left to right, so
-every column equals the per-graph arithmetic bit for bit. ``bound_report`` is
-row 0 of a one-graph table.
+``BoundTable`` evaluates everything on a chunk of packed rows (see
+``graphs``) at once, one numpy column per ``BoundReport`` field, with the
+slack E - bound (bound - E for uppers). One adjacency stack per vertex count
+feeds the solve, the exact determinants and the structure columns
+(connectivity, triangles, epsilon, the conjectures); the last two are built
+when first read, so a command pays only for what it reads. The bound
+functions take scalars and columns alike. Only ``mcclelland_lower`` runs in
+``math``, once per distinct (n, m, |det|) of a chunk: numpy's exp and log
+may differ from it in the last bit. Sums add left to right, so every column
+equals the per-graph arithmetic bit for bit. ``bound_report`` is row 0 of a
+one-graph table.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from typing import Callable, Sequence
@@ -41,8 +43,9 @@ from .graph6 import write_graph6
 # degree_sequence, is_connected, is_regular, is_triangle_free and spectral_stats are not
 # called here; they stay importable from this module because perfbench/tracing.py's
 # CALL_SITES patch them
-from .graphs import (Graph, adjacency_stack, degree_sequence, is_connected,  # noqa: F401
-                     is_regular, is_triangle_free, pairs_in_order, stacks_by_n)
+from .graphs import (Graph, degree_sequence, is_connected, is_regular,  # noqa: F401
+                     is_triangle_free, packed_groups, packed_rows, pair_bits, pair_stack,
+                     pairs_in_order)
 from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum,  # noqa: F401
                        determinant_exact, determinants_of_stacks, eigenvalues, sequential_sum,
                        spectra_of_stacks, spectral_columns, spectral_stats)
@@ -120,7 +123,8 @@ def irregularity(g: Graph, stats: SpectralStats) -> tuple[float, float]:
     """
     m = g.edge_count
     _require(m == 0, "irregularity measures need at least one edge")
-    root_sum = _structure(adjacency_stack(g.n, [g.adj]))[3][0]
+    bits = pair_bits(g.n, packed_rows(g.n, [g.adj]))
+    root_sum = _structure(pair_stack(g.n, bits), bits)[3][0]
     return _epsilon(g.n, m, root_sum), _beta(g.n, m, stats.lambda1)
 
 
@@ -136,13 +140,13 @@ def conj2_upper(m: Value, lambda1: Value) -> Value:
     return 2.0 * m / np.sqrt(lambda1)
 
 
-def _structure(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per graph of a (b, n, n) 0/1 stack: regular, connected, closed 3-walks, root sum.
 
-    Closed 3-walks are six times the triangles. The root sum adds
-    sqrt(d_i d_j) over the edges in bitset order, left to right. Connectivity
-    squares the matrix of walks of length at most 2 until the length covers
-    n - 1. In float32 every count is exact: none exceeds 62**2.
+    Closed 3-walks are six times the triangles. The root sum adds sqrt(d_i d_j)
+    over the edges, the stack's (b, C(n,2)) pair ``bits``, left to right.
+    Connectivity squares the matrix of walks of length at most 2 until the
+    length covers n - 1. In float32 every count is exact: none exceeds 62**2.
     """
     n = stack.shape[1]
     a = stack.astype(np.float32)
@@ -154,7 +158,7 @@ def _structure(stack: np.ndarray) -> tuple[np.ndarray, ...]:
         reach, span = reach @ reach, 2 * span
     degrees = a.sum(axis=2, dtype=float)
     i, j = np.array(pairs_in_order(n), dtype=np.intp).reshape(-1, 2).T
-    root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * a[:, i, j])
+    root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * bits)
     regular = degrees.min(axis=1) == degrees.max(axis=1)
     return regular, (reach[:, 0] > 0).all(axis=1), walks3, root_sum
 
@@ -220,19 +224,21 @@ def _where(rows: np.ndarray, bound: Callable[..., np.ndarray], *args: np.ndarray
 
 def _determinant_columns(stacks: list, n: np.ndarray, m: np.ndarray, energy: np.ndarray,
                          determinants: Callable) -> dict[str, np.ndarray]:
-    """|det A| as Python ints (it may pass 2**63), McClelland's lower bound and its slack."""
+    """|det A| as Python ints (it may pass 2**63), McClelland's bound once per (n, m, |det|)."""
     det_abs = np.array([abs(d) for d in determinants(stacks, len(n))], dtype=object)
-    lower = np.array([mcclelland_lower(*row) for row in zip(n.tolist(), m.tolist(), det_abs)])
+    rows = list(zip(n.tolist(), m.tolist(), det_abs))
+    memo = {row: mcclelland_lower(*row) for row in dict.fromkeys(rows)}
+    lower = np.array([memo[row] for row in rows])
     return {"det_abs": det_abs, "mcclelland_lower": lower, "slack_mcclelland_lower": energy - lower}
 
 
-def _structure_columns(stacks: list, n: np.ndarray, m: np.ndarray, energy: np.ndarray,
-                       lam: np.ndarray) -> dict[str, np.ndarray]:
+def _structure_columns(stacks: list, bits: list, n: np.ndarray, m: np.ndarray,
+                       energy: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
     """``_structure`` per vertex count, and what needs it: epsilon and the conjectures."""
     regular, connected = np.empty(len(n), bool), np.empty(len(n), bool)
     walks3, root_sum = np.empty(len(n)), np.empty(len(n))
-    for rows, stack in stacks:
-        regular[rows], connected[rows], walks3[rows], root_sum[rows] = _structure(stack)
+    for (rows, stack), group_bits in zip(stacks, bits):
+        regular[rows], connected[rows], walks3[rows], root_sum[rows] = _structure(stack, group_bits)
     edged = m >= 1
     epsilon = _where(edged, _epsilon, n, m, root_sum)
     conj1 = _where(edged & connected, conj1_lower, n, epsilon)
@@ -267,14 +273,17 @@ class _OnDemand(dict):
 
 
 class BoundTable:
-    """Every BoundReport field of a batch of graphs, one numpy column per field.
+    """Every BoundReport field of a chunk of graphs, one numpy column per field.
 
-    ``column[field]`` holds the field per graph, in the order of ``pairs``,
-    and ``column["walks3"]`` the closed 3-walks, six times the triangles.
+    Each (n, packed rows) group of the chunk is unpacked once, into pair bits:
+    m, its adjacency stack and the root sum read them. ``column[field]`` holds
+    the field per graph, group after group, and ``column["walks3"]`` the
+    closed 3-walks, six times the triangles.
     ``applies[name]`` marks the graphs where a bound (and its slack), t_nz,
     epsilon or beta is set; elsewhere the column holds nan and a BoundReport
     None. ``values`` holds the spectra from ``solve(stacks, b)``, one per row,
-    zero-padded to the longest. ``graph6(i)`` encodes row i once, when asked.
+    zero-padded to the longest. ``graph(i)`` and ``graph6(i)`` build row i's
+    Graph and graph6 once, when asked.
 
     Two column groups are built when one of their columns is first read:
     ``determinants(stacks, b)``, called once at most, and McClelland's lower
@@ -282,14 +291,19 @@ class BoundTable:
     Everything else is built here.
     """
 
-    def __init__(self, pairs: Sequence[tuple[int, int]], solve: Callable = spectra_of_stacks,
+    def __init__(self, chunk: Sequence[tuple[int, np.ndarray]],
+                 solve: Callable = spectra_of_stacks,
                  determinants: Callable = determinants_of_stacks,
                  zero_tol: float = DEFAULT_ZERO_TOL):
-        self.pairs = pairs
-        n = np.array([size for size, _ in pairs], dtype=np.int64)
-        m = np.array([adj.bit_count() for _, adj in pairs], dtype=np.int64)
-        stacks = list(stacks_by_n(n, [adj for _, adj in pairs]))
-        self.values, energy = solve(stacks, len(pairs))
+        bits = [pair_bits(size, packed) for size, packed in chunk]
+        counts = [len(rows) for rows in bits]
+        starts = np.cumsum([0] + counts).tolist()
+        n = np.repeat(np.array([size for size, _ in chunk], dtype=np.int64), counts)
+        m = np.concatenate([np.zeros(0, np.int64), *(rows.sum(axis=1, dtype=np.int64)
+                                                     for rows in bits)])
+        stacks = [(np.arange(start, start + len(rows)), pair_stack(size, rows))
+                  for (size, _), start, rows in zip(chunk, starts, bits)]
+        self.values, energy = solve(stacks, len(n))
         col = spectral_columns(self.values, energy, n, zero_tol)
         lam, t, t_nz, rank = (col[k] for k in ("lambda1", "t", "t_nz", "rank"))
         edged = m >= 1
@@ -311,7 +325,7 @@ class BoundTable:
         # the group builders hold arrays, not the table: no reference cycle
         # keeps a finished chunk's table alive until the next full collection
         dets = partial(_determinant_columns, stacks, n, m, energy, determinants)
-        structure = partial(_structure_columns, stacks, n, m, energy, lam)
+        structure = partial(_structure_columns, stacks, bits, n, m, energy, lam)
         self.column = column = _OnDemand(
             dict.fromkeys(_DETERMINANT, dets) | dict.fromkeys(_STRUCTURE, structure), eager)
         conjectures = ("conj1", "conj2")  # on connected graphs with an edge
@@ -319,7 +333,13 @@ class BoundTable:
             dict.fromkeys(conjectures,
                           lambda: dict.fromkeys(conjectures, edged & column["is_connected"])),
             applies)
-        self.graph6 = cache(lambda i: write_graph6(Graph(*pairs[i])))
+
+        def graph(i: int) -> Graph:
+            k = bisect_right(starts, i) - 1
+            size, packed = chunk[k]
+            return Graph(size, int.from_bytes(packed[i - starts[k]].tobytes(), "little"))
+        self.graph = graph = cache(graph)
+        self.graph6 = cache(lambda i: write_graph6(graph(i)))
 
     def report(self, i: int) -> BoundReport:
         """Row i as a BoundReport of Python scalars."""
@@ -340,5 +360,5 @@ def bound_report(
     """
     spectrum = eigenvalues(g) if spectrum is None else spectrum
     arrays = np.array([spectrum.values]), np.array([spectrum.energy])
-    return BoundTable([(g.n, g.adj)], lambda stacks, b: arrays,
+    return BoundTable(packed_groups([g]), lambda stacks, b: arrays,
                       lambda stacks, b: [determinant_exact(g)], zero_tol).report(0)

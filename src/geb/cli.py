@@ -30,12 +30,15 @@ from .bounds import BoundReport, bound_report
 from .enumeration import MAX_ENUMERATION_N, enumerate_connected, enumerate_graphs
 from .errors import GebError
 from .graphs import Graph, from_edge_list
-from .graph6 import parse_graph6, stream_corpus, write_graph6
+# stream_corpus is not called here; it stays importable from this module
+# because perfbench/tracing.py wraps it
+from .graph6 import parse_graph6, read_chunks, stream_corpus, write_graph6  # noqa: F401
 from .harness import (
     DEFAULT_EQUALITY_EPS,
     DEFAULT_TOL,
     EQUALITY_BOUNDS,
     CorpusSummary,
+    PackedCorpus,
     run_conjectures,
     run_equality,
     run_verify,
@@ -159,15 +162,19 @@ class _SkipCounter:
         print(f"skipping line {line_number}: {exc}", file=sys.stderr)
 
 
-def _corpus_source(args: argparse.Namespace, skips: _SkipCounter) -> Iterator[Graph]:
-    if args.enumerate is not None:
-        if not 1 <= args.enumerate <= MAX_ENUMERATION_N:
-            raise _UsageError(f"--enumerate accepts 1..{MAX_ENUMERATION_N}")
-        yield from enumerate_connected(args.enumerate)
-        return
-    with open(args.corpus, encoding="ascii", errors="surrogateescape") as fh:
-        for _lineno, g in stream_corpus(fh, on_bad=skips if args.skip_bad else None):
-            yield g
+def _corpus_source(args: argparse.Namespace, skips: _SkipCounter) -> list[Graph] | PackedCorpus:
+    if args.enumerate is None:
+        return PackedCorpus(_corpus_chunks(args.corpus, skips if args.skip_bad else None))
+    if not 1 <= args.enumerate <= MAX_ENUMERATION_N:
+        raise _UsageError(f"--enumerate accepts 1..{MAX_ENUMERATION_N}")
+    return enumerate_connected(args.enumerate)
+
+
+def _corpus_chunks(path: str, on_bad) -> Iterator[list[tuple]]:
+    """The corpus file's chunks, one per block of lines, read as the run pulls them."""
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for groups in read_chunks(fh, on_bad):
+            yield [(n, packed) for n, _lines, packed in groups]
 
 
 def _print_summary(summary: CorpusSummary, violations_label: str) -> None:

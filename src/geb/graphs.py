@@ -4,10 +4,11 @@ Graphs are simple and undirected on 1..62 vertices, the sizes graph6 can
 write. The edge set is an upper-triangle bitset packed into one Python int:
 the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``, the
 column-by-column order of the graph6 format. Isolated vertices are legal (n
-is stored separately from the bits). Only this module decodes the bitset,
-in one of two ways: for the predicates, ``edges`` and ``neighbor_masks`` read
-one memoized Python scan per graph; for everything else, ``adjacency_stack``
-unpacks many bitsets into 0/1 matrices at once, one per vertex count.
+is stored separately from the bits). A corpus chunk holds, per vertex
+count, one uint8 row per graph of the bitset's ceil(C(n,2)/8) little-endian
+bytes: packed rows. Only this module decodes the bits, in one of two ways:
+``edges`` and ``neighbor_masks`` read one memoized Python scan per graph;
+``pair_bits`` and ``pair_stack`` unpack many packed rows at once.
 """
 
 from __future__ import annotations
@@ -103,22 +104,37 @@ def _decode(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     return tuple(edges), tuple(masks)
 
 
+def packed_rows(n: int, bitsets: Sequence[int]) -> np.ndarray:
+    """The (len(bitsets), ceil(C(n,2)/8)) uint8 rows of these bitsets, little-endian."""
+    nbytes = (pair_count(n) + 7) // 8  # via bytes, not int64: a bitset can exceed 63 bits
+    raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bitsets)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(bitsets), nbytes)
+
+
+def packed_groups(graphs: Iterable[Graph]) -> list[tuple[int, np.ndarray]]:
+    """Graphs as a chunk: per vertex count, first seen first, n and its ``packed_rows``."""
+    bitsets: dict[int, list[int]] = {}
+    for g in graphs:
+        bitsets.setdefault(g.n, []).append(g.adj)
+    return [(n, packed_rows(n, adjs)) for n, adjs in bitsets.items()]
+
+
+def pair_bits(n: int, packed: np.ndarray) -> np.ndarray:
+    """The (k, C(n,2)) uint8 pair bits, in bitset order, of k packed rows."""
+    return np.unpackbits(packed, axis=1, count=pair_count(n), bitorder="little")
+
+
+def pair_stack(n: int, bits: np.ndarray) -> np.ndarray:
+    """The (k, n, n) symmetric uint8 0/1 matrices of k rows of pair bits."""
+    stack = np.zeros((len(bits), n, n), dtype=np.uint8)
+    j, i = np.tril_indices(n, -1)  # row-major lower triangle = pairs_in_order(n)
+    stack[:, i, j] = stack[:, j, i] = bits
+    return stack
+
+
 def adjacency_stack(n: int, bitsets: Sequence[int]) -> np.ndarray:
     """The (len(bitsets), n, n) symmetric uint8 0/1 matrices of these bitsets."""
-    stack = np.zeros((len(bitsets), n, n), dtype=np.uint8)
-    length = pair_count(n)
-    if length:
-        nbytes = (length + 7) // 8  # via bytes, not int64: a bitset can exceed 63 bits
-        raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bitsets)
-        cols = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(len(bitsets), nbytes),
-            axis=1,
-            count=length,
-            bitorder="little",
-        )
-        j, i = np.tril_indices(n, -1)  # row-major lower triangle = pairs_in_order(n)
-        stack[:, i, j] = stack[:, j, i] = cols
-    return stack
+    return pair_stack(n, pair_bits(n, packed_rows(n, bitsets)))
 
 
 def stacks_by_n(sizes: Sequence[int], bitsets: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
@@ -127,16 +143,6 @@ def stacks_by_n(sizes: Sequence[int], bitsets: Sequence[int]) -> Iterator[tuple[
     for n in dict.fromkeys(sizes.tolist()):  # not np.unique: it imports numpy.ma on first use
         rows = np.flatnonzero(sizes == n)
         yield rows, adjacency_stack(n, [bitsets[i] for i in rows.tolist()])
-
-
-def trusted_graphs(n: int, bitsets: Iterable[int]) -> list[Graph]:
-    """``Graph(n, adj)`` per bitset, without ``__post_init__``: for bitsets known to fit n."""
-    graphs = []
-    for adj in bitsets:
-        graphs.append(g := object.__new__(Graph))
-        state = g.__dict__  # the frozen fields, as __init__ sets them
-        state["n"], state["adj"] = n, adj
-    return graphs
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -1,16 +1,18 @@
 """Corpus drivers: soundness verification, conjecture checks, equality search.
 
 verify, conjectures and equality fold chunks of graphs into one
-CorpusSummary. A chunk travels as (n, edge bitset) pairs, in this process or
-to a worker, and becomes one ``bounds.BoundTable``. The verdicts are taken
+CorpusSummary. A chunk is a list of (n, packed rows) groups (see ``graphs``):
+one graph6 block of a ``PackedCorpus``, or 1024 Graphs through
+``graphs.packed_groups``. It travels as it is, in this process or to a
+worker, and becomes one ``bounds.BoundTable``. The verdicts are taken
 column-wise: every invariant row, the Grüss product-sum chain and identity
 (``gruss.energy_chain``'s arithmetic, bit for bit, without its vectors) and
 the spectral moment rows are vector expressions, a least slack is an argmin
 with exact ties going to the smaller graph6, and violations and hits are
-masks. Only the rows a verdict names become Graphs again, for their graph6
-and the complete-bipartite test. The merge is commutative and the final
-lists are sorted, so the outcome is identical for any worker count and any
-chunk order.
+masks. Only the rows a verdict names become Graphs, for their graph6 and
+the complete-bipartite test. The merge is commutative and the final lists
+are sorted, so the outcome is identical for any worker count and any chunk
+order.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 # bound_report, eigenvalues_batch, energy_chain and spectral_stats are not called here;
 # they stay importable from this module because perfbench/tracing.py's sites patch them
 from .bounds import BoundTable, bound_report  # noqa: F401
-from .graphs import Graph, is_complete_bipartite
+from .graphs import Graph, is_complete_bipartite, packed_groups
 from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
 from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
                        sequential_sum, spectra_of_stacks, spectral_stats)
@@ -65,6 +67,13 @@ class EqualityHit:
 class Extreme:
     graph6: str
     slack: float
+
+
+@dataclass(frozen=True)
+class PackedCorpus:
+    """A corpus that comes in chunks already: lists of (n, packed rows) groups."""
+
+    chunks: Iterable[list[tuple[int, np.ndarray]]]
 
 
 @dataclass
@@ -223,32 +232,36 @@ def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float)
     slack = table.column["slack_" + bound]
     for i in np.flatnonzero(rows & (np.abs(slack) <= eps)).tolist():
         summary.equality_hits.append(EqualityHit(
-            table.graph6(i), bound, float(slack[i]), is_complete_bipartite(Graph(*table.pairs[i]))))
+            table.graph6(i), bound, float(slack[i]), is_complete_bipartite(table.graph(i))))
 
 
 def _chunk(visit: Callable[..., None], zero_tol: float,
-           pairs: list[tuple[int, int]]) -> CorpusSummary:
-    """Visit the BoundTable of a chunk of graphs, given as (n, edge bitset) pairs.
+           chunk: list[tuple[int, np.ndarray]]) -> CorpusSummary:
+    """Visit the BoundTable of a chunk of graphs, given as (n, packed rows) groups.
 
     The solver always terminates. A wrong spectrum costs only its graph,
     through the moment rows and the Grüss identity rows of ``verify``.
     """
-    summary = CorpusSummary(graphs_seen=len(pairs))
+    summary = CorpusSummary(graphs_seen=sum(len(packed) for _, packed in chunk))
     # both solvers stay this module's globals, read here: tests patch them
-    visit(summary, BoundTable(pairs, spectra_of_stacks, determinants_of_stacks, zero_tol))
+    visit(summary, BoundTable(chunk, spectra_of_stacks, determinants_of_stacks, zero_tol))
     return summary
 
 
 def _run(
-    visit: Callable[..., None], graphs: Iterable[Graph], zero_tol: float, jobs: int
+    visit: Callable[..., None], graphs: Iterable[Graph] | PackedCorpus, zero_tol: float,
+    jobs: int,
 ) -> CorpusSummary:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # the CPUs this process may run on, where the platform tells; else all of them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, cpus or 1)
-    source = iter(graphs)
-    chunks = iter(lambda: [(g.n, g.adj) for g in islice(source, _CHUNK_SIZE)], [])
+    if isinstance(graphs, PackedCorpus):
+        chunks = iter(graphs.chunks)
+    else:
+        source = iter(graphs)
+        chunks = iter(lambda: packed_groups(islice(source, _CHUNK_SIZE)), [])
     summary = CorpusSummary()
     if workers == 1:
         for chunk in chunks:
@@ -268,7 +281,7 @@ def _run(
 
 
 def run_verify(
-    graphs: Iterable[Graph],
+    graphs: Iterable[Graph] | PackedCorpus,
     tol: float = DEFAULT_TOL,
     zero_tol: float = DEFAULT_ZERO_TOL,
     jobs: int = 1,
@@ -278,7 +291,7 @@ def run_verify(
 
 
 def run_conjectures(
-    graphs: Iterable[Graph],
+    graphs: Iterable[Graph] | PackedCorpus,
     tol: float = DEFAULT_TOL,
     zero_tol: float = DEFAULT_ZERO_TOL,
     jobs: int = 1,
@@ -292,7 +305,7 @@ def run_conjectures(
 
 
 def run_equality(
-    graphs: Iterable[Graph],
+    graphs: Iterable[Graph] | PackedCorpus,
     bound: str,
     eps: float = DEFAULT_EQUALITY_EPS,
     zero_tol: float = DEFAULT_ZERO_TOL,

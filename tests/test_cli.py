@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
+import geb.bounds as bounds
 import geb.cli as cli
 from geb.cli import EXIT_CLEAN, EXIT_USAGE, EXIT_VIOLATIONS, main
-from geb.graphs import petersen
+from geb.graphs import Graph, petersen
 from geb.harness import CorpusSummary
 
 
@@ -196,7 +197,7 @@ def test_verify_jobs_output_is_identical(capsys):
 
 
 def test_skip_bad_across_a_decode_block_is_the_same_for_any_jobs(capsys, tmp_path, data_dir):
-    # lines 1024 and 1025 sit on either side of the first boundary of stream_corpus's blocks
+    # lines 1024 and 1025 sit on either side of the first boundary of the graph6 reader's blocks
     lines = (data_dir / "connected8.g6").read_bytes().split()[:2100]
     for lineno, bad in ((3, b"*junk*"), (1024, b"\xc3\xa9x"), (1025, b">>graph6<<Bw"), (2049, b"G??")):
         lines[lineno - 1] = bad
@@ -212,6 +213,24 @@ def test_skip_bad_across_a_decode_block_is_the_same_for_any_jobs(capsys, tmp_pat
                    "skipping line 1024: size byte '\\udcc3' does not encode n in 1..62\n"
                    "skipping line 1025: header allowed on the first line only\n"
                    "skipping line 2049: n=8 needs 5 payload bytes, got 2\n")
+
+
+@pytest.mark.parametrize("argv, checks", [(["verify"], 7), (["conjectures"], 2),
+                                          (["equality", "--bound", "main"], 1)],
+                         ids=["verify", "conjectures", "equality"])
+def test_corpus_commands_build_graphs_only_for_the_rows_a_verdict_names(
+        capsys, monkeypatch, data_dir, argv, checks):
+    # a row becomes a Graph only to be encoded: a least-slack candidate, a violation, a hit
+    built, encoded = [], []
+    post_init, write = Graph.__post_init__, bounds.write_graph6
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or post_init(g))
+    monkeypatch.setattr(bounds, "write_graph6", lambda g: encoded.append(g) or write(g))
+    code, out, _ = run(capsys, *argv, "--corpus", str(data_dir / "connected8.g6"))
+    assert code == EXIT_CLEAN and built == encoded
+    named = {line.split()[-1] for line in out.splitlines() if line.startswith("min slack")}
+    hits = [line.split()[0] for line in out.splitlines() if "  slack=" in line]
+    assert named | set(hits) <= {write(g) for g in built}
+    assert len(built) <= 11 * checks + len(hits)  # 11117 graphs in 11 chunks
 
 
 # --- conjectures ------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import dataclasses
 import io
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from geb.errors import (
     TruncatedBits,
 )
 from geb.graphs import Graph, complete, from_edge_list, pair_count
-from geb.graph6 import HEADER, parse_graph6, stream_corpus, write_graph6
+from geb.graph6 import HEADER, parse_graph6, read_chunks, stream_corpus, write_graph6
 
 from conftest import random_graphs
 
@@ -249,11 +251,44 @@ def test_block_decode_equals_the_per_line_oracle(first, lines, block, skip):
     assert got == outcome(per_line, text, skip)
 
 
+def chunk_outcome(text, skip):
+    """read_chunks' events: its rows as (line, n, bitset), its error and its on_bad calls."""
+    events = []
+    on_bad = (lambda lineno, exc: events.append(("bad", lineno, type(exc), str(exc)))) if skip else None
+    try:
+        for groups in read_chunks(io.StringIO(text, newline=""), on_bad):
+            assert len({n for n, _, _ in groups}) == len(groups)  # one group per vertex count
+            for n, linenos, packed in groups:
+                assert packed.dtype == np.uint8 and packed.shape == (len(linenos), (pair_count(n) + 7) // 8)
+                events.extend(("graph", lineno, n, int.from_bytes(row.tobytes(), "little"))
+                              for lineno, row in zip(linenos.tolist(), packed))
+    except CorpusDecodeError as exc:
+        events.append(("raised", exc.line_number, type(exc.__cause__), str(exc)))
+    return events
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["", HEADER + "\n", HEADER + "\r\n"]), st.lists(corpus_lines(), max_size=40),
+       st.integers(1, 8), st.booleans())
+def test_packed_chunks_equal_the_stream(first, lines, block, skip):
+    # the same rows, errors and on_bad calls; but a block's errors come before its rows,
+    # so an error drops the rows of its own block
+    text = first + "".join(lines)
+    with mock.patch.object(graph6, "_BLOCK", block):
+        got = chunk_outcome(text, skip)
+        want = outcome(stream_corpus, text, skip)
+    assert [e for e in got if e[0] != "graph"] == [e for e in want if e[0] != "graph"]
+    raised = [e[1] for e in want if e[0] == "raised"]
+    before = (raised[0] - 1) // block * block + 1 if raised else math.inf  # the failing block
+    assert (sorted(e[1:] for e in got if e[0] == "graph")
+            == [(e[1], e[2].n, e[2].adj) for e in want if e[0] == "graph" and e[1] < before])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["", HEADER + "\n", HEADER + "\r\n"]), st.lists(corpus_lines(), max_size=40),
        st.integers(1, 8))
 def test_block_decoded_graphs_equal_checked_ones(first, lines, block):
-    # the block decoder builds its Graphs without __post_init__: they must be
+    # stream_corpus builds its Graphs from packed rows: they must be
     # indistinguishable from Graph(n, adj)
     with mock.patch.object(graph6, "_BLOCK", block):
         decoded = [g for _, g in stream_corpus(io.StringIO(first + "".join(lines), newline=""),

@@ -15,7 +15,7 @@ import pytest
 
 from geb.bounds import BoundTable, bound_report
 from geb.enumeration import canonical_form, enumerate_connected
-from geb.graph6 import parse_graph6, write_graph6
+from geb.graph6 import parse_graph6, read_chunks, write_graph6
 from geb.graphs import (
     Graph, adjacency_stack, complete, complete_bipartite, cycle, from_edge_list, path, petersen,
     stacks_by_n,
@@ -24,6 +24,7 @@ from geb.harness import (
     EQUALITY_BOUNDS,
     CorpusSummary,
     Extreme,
+    PackedCorpus,
     Violation,
     run_conjectures,
     run_equality,
@@ -31,8 +32,9 @@ from geb.harness import (
 )
 from geb.errors import InvariantViolation
 from geb.gruss import energy_chain
-from geb.spectral import Spectrum, spectral_stats
+from geb.spectral import Spectrum, determinants_exact, spectral_stats
 import geb.bounds as bounds
+import geb.graph6 as graph6
 import geb.graphs as graphs
 import geb.harness as harness
 import geb.spectral as spectral
@@ -312,7 +314,7 @@ def test_equality_builds_no_structure_columns(monkeypatch, bound):
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
     want = run_equality(fresh, bound=bound)
 
-    def refuse(stack):
+    def refuse(stack, bits):
         raise AssertionError("structure columns were built")
 
     monkeypatch.setattr(bounds, "_structure", refuse)
@@ -341,18 +343,30 @@ def test_determinants_are_solved_once_per_chunk(monkeypatch, data_dir, run):
     assert solved == [matrices[k : k + 1024] for k in range(0, len(corpus), 1024)]
 
 
-def counted_stacks(monkeypatch):
-    """Count ``adjacency_stack`` calls, under every name geb holds it by, as (n, graphs)."""
+def test_mcclelland_lower_runs_once_per_distinct_row_of_a_chunk(monkeypatch, data_dir):
+    corpus = connected8(data_dir)
     calls = []
-    build = graphs.adjacency_stack
+    lower = bounds.mcclelland_lower
+    monkeypatch.setattr(bounds, "mcclelland_lower", lambda *row: calls.append(row) or lower(*row))
+    run_verify(corpus)
+    rows = [(g.n, g.edge_count, abs(d)) for g, d in zip(corpus, determinants_exact(corpus))]
+    assert calls == [row for k in range(0, len(rows), 1024)
+                     for row in dict.fromkeys(rows[k : k + 1024])]
+    assert len({abs(d) for _, _, d in rows}) == 21 and len(calls) < len(corpus) // 10
 
-    def counted(n, bitsets):
-        calls.append((n, len(bitsets)))
-        return build(n, bitsets)
+
+def counted_stacks(monkeypatch):
+    """Count ``pair_stack`` calls, under every name geb holds it by, as (n, graphs)."""
+    calls = []
+    build = graphs.pair_stack
+
+    def counted(n, bits):
+        calls.append((n, len(bits)))
+        return build(n, bits)
 
     for module in (graphs, spectral, bounds, harness):
-        if hasattr(module, "adjacency_stack"):
-            monkeypatch.setattr(module, "adjacency_stack", counted)
+        if hasattr(module, "pair_stack"):
+            monkeypatch.setattr(module, "pair_stack", counted)
     return calls
 
 
@@ -562,30 +576,51 @@ def test_workers_are_capped_at_the_cpu_count_without_affinity(monkeypatch):
 
 def test_pool_pulls_a_bounded_window_of_chunks(monkeypatch):
     monkeypatch.setattr(harness, "_CHUNK_SIZE", 16)
-    inline_pool(monkeypatch, cpus=2)
-    pulled = 0
+    pulled = [0]
 
     def corpus():
-        nonlocal pulled
         for g in itertools.islice(itertools.cycle(small_corpus()), 400):
-            pulled += 1
+            pulled[0] += 1
             yield g
 
+    assert_bounded_window(monkeypatch, corpus(), pulled)
+
+
+def test_pool_pulls_a_bounded_window_of_decode_blocks(monkeypatch):
+    # a PackedCorpus chunk is one block of lines: the window is counted in lines read
+    monkeypatch.setattr(graph6, "_BLOCK", 16)
+    pulled = [0]
+
+    def lines():
+        for g in itertools.islice(itertools.cycle(small_corpus()), 400):
+            pulled[0] += 1
+            yield write_graph6(g) + "\n"
+
+    chunks = ([(n, packed) for n, _, packed in groups] for groups in read_chunks(lines()))
+    assert_bounded_window(monkeypatch, PackedCorpus(chunks), pulled)
+
+
+def assert_bounded_window(monkeypatch, corpus, pulled):
+    """Run a two-worker verify and check how much of ``corpus`` it pulled, in chunks of 16.
+
+    ``pulled[0]`` counts the graphs the corpus has handed out so far.
+    """
+    inline_pool(monkeypatch, cpus=2)
     at_first_merge = []
     merge = CorpusSummary.merge
 
     def noting_merge(self, other):
         if not at_first_merge:
-            at_first_merge.append(pulled)
+            at_first_merge.append(pulled[0])
         merge(self, other)
 
     monkeypatch.setattr(CorpusSummary, "merge", noting_merge)
-    summary = run_verify(corpus(), jobs=2)
+    summary = run_verify(corpus, jobs=2)
     assert at_first_merge[0] <= (2 * 2 + 1) * 16  # two chunks in flight per worker
-    assert pulled == summary.graphs_seen == 400
+    assert pulled[0] == summary.graphs_seen == 400
 
 
-def test_pool_sends_chunks_as_int_pairs(monkeypatch):
+def test_pool_sends_chunks_as_packed_groups(monkeypatch):
     monkeypatch.setattr(harness, "_CHUNK_SIZE", 16)
     submitted = []
     inline_pool(monkeypatch, cpus=2, submitted=submitted)
@@ -594,7 +629,8 @@ def test_pool_sends_chunks_as_int_pairs(monkeypatch):
         submitted.clear()
         pooled = run(corpus, jobs=2)
         assert summaries_equal(pooled, run(corpus))
-        chunks = [chunk for (chunk,) in submitted]
-        assert [pair for chunk in chunks for pair in chunk] == [(g.n, g.adj) for g in corpus]
-        assert all(type(pair) is tuple and [type(x) for x in pair] == [int, int]
-                   for chunk in chunks for pair in chunk)
+        groups = [group for (chunk,) in submitted for group in chunk]
+        assert [(n, int.from_bytes(row.tobytes(), "little")) for n, packed in groups
+                for row in packed] == [(g.n, g.adj) for g in corpus]
+        assert all(type(n) is int and packed.dtype == np.uint8
+                   and packed.shape[1] == (n * (n - 1) // 2 + 7) // 8 for n, packed in groups)
