@@ -43,9 +43,9 @@ from .graph6 import write_graph6
 # degree_sequence, is_connected, is_regular, is_triangle_free and spectral_stats are not
 # called here; they stay importable from this module because perfbench/tracing.py's
 # CALL_SITES patch them
-from .graphs import (Graph, degree_sequence, is_connected, is_regular,  # noqa: F401
-                     is_triangle_free, packed_groups, packed_rows, pair_bits, pair_stack,
-                     pairs_in_order)
+from .graphs import (Graph, connected_column, degree_sequence, is_connected,  # noqa: F401
+                     is_regular, is_triangle_free, packed_groups, packed_rows, pair_bits,
+                     pair_stack, pairs_in_order)
 from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum,  # noqa: F401
                        determinant_exact, determinants_of_stacks, eigenvalues, sequential_sum,
                        spectra_of_stacks, spectral_columns, spectral_stats)
@@ -145,22 +145,17 @@ def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Closed 3-walks are six times the triangles. The root sum adds sqrt(d_i d_j)
     over the edges, the stack's (b, C(n,2)) pair ``bits``, left to right.
-    Connectivity squares the matrix of walks of length at most 2 until the
-    length covers n - 1. In float32 every count is exact: none exceeds 62**2.
+    Connectivity is ``graphs.connected_column``; float32 counts are exact.
     """
     n = stack.shape[1]
     a = stack.astype(np.float32)
     a2 = a @ a
     walks3 = (a2 * a).sum(axis=(1, 2), dtype=float)
-    reach, span = a2 + a + np.eye(n, dtype=np.float32), 2
-    while span < n - 1:
-        reach = (reach > 0).astype(np.float32)
-        reach, span = reach @ reach, 2 * span
     degrees = a.sum(axis=2, dtype=float)
     i, j = np.array(pairs_in_order(n), dtype=np.intp).reshape(-1, 2).T
     root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * bits)
     regular = degrees.min(axis=1) == degrees.max(axis=1)
-    return regular, (reach[:, 0] > 0).all(axis=1), walks3, root_sum
+    return regular, connected_column(a, a2), walks3, root_sum
 
 
 @dataclass(frozen=True)

@@ -17,31 +17,32 @@ after its smaller twins. Without that rule every prefix of K_n ties.
 
 Generation builds the classes on n vertices from those on n - 1 (McKay 1998,
 *J. Algorithms* 26): each representative gains one new vertex in every way,
-one candidate per neighbourhood of the new vertex, and the candidates are
-kept once per canonical form. This is complete because deleting the last
-vertex of any graph leaves a graph isomorphic to some representative. For
-connected graphs only the connected classes are extended, and only by
-nonempty neighbourhoods: every connected graph on n >= 2 vertices has a
-vertex whose removal leaves it connected (a leaf of a spanning tree), and
-the new vertex needs a neighbour to keep the graph connected. Each class is
-represented by its canonical labeling, and classes come in ascending order
-of the canonical bit string.
+one candidate per neighbourhood of the new vertex (the empty one included),
+and the candidates are kept once per canonical form. Only a candidate whose
+new vertex has its largest degree is canonicalized: a neighbourhood H of a
+parent passes when |H| >= deg(u) + [u in H] for every parent vertex u. This
+is complete because deleting a vertex of largest degree from any graph
+leaves a graph isomorphic to some representative, and adding it back passes.
+The connected classes are the connected members of all classes. Each class
+is represented by its canonical labeling, and classes come in ascending
+order of the canonical bit string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import Graph, adjacency_stack, msb_first, pair_count
+from .graphs import Graph, adjacency_stack, connected_column, msb_first, pair_count
 
 MAX_CANONICAL_N = 10
 MAX_ENUMERATION_N = 8
 
-_SLAB = 1000  # candidate extensions canonicalized per numpy step
+_SLAB = 1000  # parents filtered, candidates canonicalized or classes tested per numpy step
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,6 @@ class CanonicalForm:
 
     n: int
     bits: bytes
-
-
-def _pack_bits(n: int, value: int) -> bytes:
-    """MSB-first packing of an upper-triangle bit value into bytes."""
-    length = pair_count(n)
-    nbytes = max(1, -(-length // 8))
-    return (value << (8 * nbytes - length)).to_bytes(nbytes, "big")
 
 
 def _canonical_bits(stack: np.ndarray) -> np.ndarray:
@@ -101,34 +95,44 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise NTooLargeForCanonicalization(
             f"canonical form supports at most {MAX_CANONICAL_N} vertices, got {n}"
         )
-    return CanonicalForm(n, _pack_bits(n, int(_canonical_bits(adjacency_stack(n, [g.adj]))[0])))
+    value, length = int(_canonical_bits(adjacency_stack(n, [g.adj]))[0]), pair_count(n)
+    return CanonicalForm(n, (value << (-length % 8)).to_bytes(max(1, -(-length // 8)), "big"))
 
 
 @lru_cache(maxsize=None)
 def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
-    """One canonically labeled representative per class on n vertices."""
+    """One canonically labeled representative per class, or connected class, on n vertices."""
+    if connected:
+        every = _classes(n, False)
+        return tuple(compress(every, np.concatenate([  # slabs bound the float32 stacks
+            connected_column(adjacency_stack(n, [g.adj for g in every[start:start + _SLAB]])
+                             .astype(np.float32)) for start in range(0, len(every), _SLAB)])))
     if n == 1:
         return (Graph(1, 0),)
-    parents = adjacency_stack(n - 1, [rep.adj for rep in _classes(n - 1, connected)])
-    hoods = np.arange(1 if connected else 0, 1 << (n - 1))
-    hood_rows = (hoods[:, None] >> np.arange(n - 1) & 1).astype(np.uint8)
-    total = len(parents) * len(hoods)
-    found: set[int] = set()
-    for start in range(0, total, _SLAB):
-        c = np.arange(start, min(start + _SLAB, total))
+    parents = adjacency_stack(n - 1, [rep.adj for rep in _classes(n - 1, False)])
+    hoods = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(np.uint8)
+    size, degree = hoods.sum(axis=1, keepdims=True), parents.sum(axis=1, dtype=np.uint8)[:, None]
+    kept = np.concatenate([  # pairs whose new vertex, of degree |hood|, has the largest degree
+        np.flatnonzero((degree[start:start + _SLAB] + hoods <= size).all(axis=2))
+        + start * len(hoods) for start in range(0, len(parents), _SLAB)])
+    found = []
+    for start in range(0, len(kept), _SLAB):
+        c = kept[start:start + _SLAB]
         stack = np.zeros((len(c), n, n), dtype=np.uint8)
         stack[:, :-1, :-1] = parents[c // len(hoods)]
-        stack[:, -1, :-1] = stack[:, :-1, -1] = hood_rows[c % len(hoods)]
-        found.update(_canonical_bits(stack).tolist())
-    return tuple(Graph(n, msb_first(n, best)) for best in sorted(found))
+        stack[:, -1, :-1] = stack[:, :-1, -1] = hoods[c % len(hoods)]
+        found.append(_canonical_bits(stack))
+    found = np.sort(np.concatenate(found))
+    found = found[np.diff(found, prepend=-1) != 0]  # once per canonical form
+    return tuple(Graph(n, msb_first(n, best)) for best in found.tolist())
 
 
 def enumerate_graphs(n: int, connected: bool = True) -> list[Graph]:
     """All graphs on n vertices up to isomorphism, canonically labeled (cached).
 
-    Representatives come back sorted by their canonical bit string. The
-    exhaustive construction is only practical for small n; above
-    ``MAX_ENUMERATION_N`` this refuses to run.
+    Both lists come from the one recursion over all classes; ``connected``
+    keeps its connected members. Representatives come back sorted by their
+    canonical bit string. Above ``MAX_ENUMERATION_N`` this refuses to run.
     """
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise NTooLargeForEnumeration(

@@ -137,6 +137,18 @@ def adjacency_stack(n: int, bitsets: Sequence[int]) -> np.ndarray:
     return pair_stack(n, pair_bits(n, packed_rows(n, bitsets)))
 
 
+def connected_column(a: np.ndarray, a2: np.ndarray | None = None) -> np.ndarray:
+    """Whether each graph of a (b, n, n) float32 0/1 stack is connected: square the
+    walks of length <= 2 (``a2`` is ``a @ a``) until the length covers n - 1. In
+    float32 every count is exact: none exceeds 62**2."""
+    a2 = a @ a if a2 is None else a2
+    reach, span = a2 + a + np.eye(a.shape[1], dtype=np.float32), 2
+    while span < a.shape[1] - 1:
+        reach = (reach > 0).astype(np.float32)
+        reach, span = reach @ reach, 2 * span
+    return (reach[:, 0] > 0).all(axis=1)
+
+
 def stacks_by_n(sizes: Sequence[int], bitsets: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
     """Per vertex count of a batch of graphs, its rows and their (k, n, n) adjacency stack."""
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -205,19 +217,8 @@ def is_regular(g: Graph) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0."""
-    masks = g.neighbor_masks()
-    seen = 1
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        fresh = masks[v] & ~seen
-        seen |= fresh
-        while fresh:
-            u = (fresh & -fresh).bit_length() - 1
-            fresh &= fresh - 1
-            queue.append(u)
-    return seen == (1 << g.n) - 1
+    """``connected_column`` of g alone."""
+    return bool(connected_column(adjacency_stack(g.n, [g.adj]).astype(np.float32))[0])
 
 
 def triangle_count(g: Graph) -> int:

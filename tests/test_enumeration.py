@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geb import enumeration
 from geb.cli import main
 from geb.errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
 from geb.graphs import (
@@ -92,10 +93,49 @@ def test_all_graph_counts(n, count):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_connected_recursion_matches_filtered_full_recursion(n):
-    # the two lists come from different recursions: connected classes are
-    # extended only from connected classes, by nonempty neighbourhoods
-    connected = enumerate_graphs(n, connected=True)
-    assert connected == [g for g in enumerate_graphs(n, connected=False) if is_connected(g)]
+    # the library filters all classes with its own connectivity column, so
+    # networkx is the oracle here
+    nx = pytest.importorskip("networkx")
+    every = enumerate_graphs(n, connected=False)
+    oracle = []
+    for g in every:
+        ref = nx.Graph(g.edges())
+        ref.add_nodes_from(range(n))
+        if nx.is_connected(ref):
+            oracle.append(g)
+    assert enumerate_graphs(n, connected=True) == oracle
+
+
+def test_only_extensions_by_a_largest_degree_vertex_are_canonicalized(monkeypatch):
+    # 156 classes on 6 vertices times 2**6 neighbourhoods give 9984 pairs; in
+    # 2690 of them the new vertex has the child's largest degree
+    sizes = []
+
+    def counting(stack):
+        sizes.append(stack.shape[:2])
+        return _canonical_bits(stack)
+
+    monkeypatch.setattr(enumeration, "_canonical_bits", counting)
+    enumeration._classes.cache_clear()
+    try:
+        assert len(enumerate_graphs(7, connected=False)) == 1044
+    finally:
+        enumeration._classes.cache_clear()
+    assert len(enumerate_graphs(6, connected=False)) << 6 == 9984
+    assert sum(count for count, n in sizes if n == 7) == 2690
+
+
+def test_cold_enumeration_runs_in_bounded_memory():
+    # the filter masks, the candidate stacks and the connectivity stacks are
+    # built in slabs; what remains is the 12346 cached classes on 8 vertices
+    enumeration._classes.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(enumerate_connected(8)) == 11117
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 def test_enumerate_command_rebuilds_connected8(data_dir, tmp_path, capsys):

@@ -14,6 +14,7 @@ from geb.graphs import (
     bipartition,
     complete,
     complete_bipartite,
+    connected_column,
     cycle,
     degree_sequence,
     from_edge_list,
@@ -156,6 +157,27 @@ def test_connectivity():
     lone = from_edge_list(3, [(0, 1)])  # K2 plus an isolated vertex
     assert not is_connected(lone)
     assert not is_connected(Graph(2, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 17, 33, 62])
+def test_connected_column_matches_networkx(n):
+    # a path in random vertex order has diameter n - 1, the most squarings
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(n)
+    order = rng.sample(range(n), n)
+    long_path = list(zip(order, order[1:]))
+    edge_lists = [long_path, long_path[1:], long_path[:-1]] + [
+        [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 2 / n]
+        for _ in range(20)]
+    want = []
+    for edges in edge_lists:
+        ref = nx.Graph(edges)
+        ref.add_nodes_from(range(n))
+        want.append(nx.is_connected(ref))
+    graphs = [from_edge_list(n, edges) for edges in edge_lists]
+    stack = adjacency_stack(n, [g.adj for g in graphs]).astype(np.float32)
+    assert connected_column(stack).tolist() == want
+    assert [is_connected(g) for g in graphs] == want
 
 
 def test_bipartition_and_complete_bipartite_detection():
