@@ -124,7 +124,7 @@ def irregularity(g: Graph, stats: SpectralStats) -> tuple[float, float]:
     m = g.edge_count
     _require(m == 0, "irregularity measures need at least one edge")
     bits = pair_bits(g.n, packed_rows(g.n, [g.adj]))
-    root_sum = _structure(pair_stack(g.n, bits), bits)[3][0]
+    root_sum = _structure(pair_stack(g.n, bits), bits)[-1][0]
     return _epsilon(g.n, m, root_sum), _beta(g.n, m, stats.lambda1)
 
 
@@ -141,21 +141,23 @@ def conj2_upper(m: Value, lambda1: Value) -> Value:
 
 
 def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per graph of a (b, n, n) 0/1 stack: regular, connected, closed 3-walks, root sum.
+    """Per graph of a (b, n, n) 0/1 stack: regular, connected, closed 3- and 4-walks, root sum.
 
-    Closed 3-walks are six times the triangles. The root sum adds sqrt(d_i d_j)
-    over the edges, the stack's (b, C(n,2)) pair ``bits``, left to right.
+    Closed 3-walks are six times the triangles; closed 4-walks, tr A^4, add
+    the squared entries of A^2. The root sum adds sqrt(d_i d_j) over the
+    edges, the stack's (b, C(n,2)) pair ``bits``, left to right.
     Connectivity is ``graphs.connected_column``; float32 counts are exact.
     """
     n = stack.shape[1]
     a = stack.astype(np.float32)
     a2 = a @ a
     walks3 = (a2 * a).sum(axis=(1, 2), dtype=float)
+    walks4 = (a2 * a2).sum(axis=(1, 2), dtype=float)
     degrees = a.sum(axis=2, dtype=float)
     i, j = np.array(pairs_in_order(n), dtype=np.intp).reshape(-1, 2).T
     root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * bits)
     regular = degrees.min(axis=1) == degrees.max(axis=1)
-    return regular, connected_column(a, a2), walks3, root_sum
+    return regular, connected_column(a, a2), walks3, walks4, root_sum
 
 
 @dataclass(frozen=True)
@@ -231,21 +233,22 @@ def _structure_columns(stacks: list, bits: list, n: np.ndarray, m: np.ndarray,
                        energy: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
     """``_structure`` per vertex count, and what needs it: epsilon and the conjectures."""
     regular, connected = np.empty(len(n), bool), np.empty(len(n), bool)
-    walks3, root_sum = np.empty(len(n)), np.empty(len(n))
+    walks3, walks4, root_sum = np.empty(len(n)), np.empty(len(n)), np.empty(len(n))
     for (rows, stack), group_bits in zip(stacks, bits):
-        regular[rows], connected[rows], walks3[rows], root_sum[rows] = _structure(stack, group_bits)
+        (regular[rows], connected[rows], walks3[rows], walks4[rows],
+         root_sum[rows]) = _structure(stack, group_bits)
     edged = m >= 1
     epsilon = _where(edged, _epsilon, n, m, root_sum)
     conj1 = _where(edged & connected, conj1_lower, n, epsilon)
     conj2 = _where(edged & connected, conj2_upper, m, lam)
     return {"is_connected": connected, "is_regular": regular, "is_triangle_free": walks3 == 0,
-            "walks3": walks3, "epsilon": epsilon, "conj1": conj1, "conj2": conj2,
+            "walks3": walks3, "walks4": walks4, "epsilon": epsilon, "conj1": conj1, "conj2": conj2,
             "slack_conj1": energy - conj1, "slack_conj2": conj2 - energy}
 
 
 _DETERMINANT = ("det_abs", "mcclelland_lower", "slack_mcclelland_lower")
-_STRUCTURE = ("is_connected", "is_regular", "is_triangle_free", "walks3", "epsilon", "conj1",
-              "conj2", "slack_conj1", "slack_conj2")
+_STRUCTURE = ("is_connected", "is_regular", "is_triangle_free", "walks3", "walks4", "epsilon",
+              "conj1", "conj2", "slack_conj1", "slack_conj2")
 
 
 class _OnDemand(dict):
@@ -272,8 +275,8 @@ class BoundTable:
 
     Each (n, packed rows) group of the chunk is unpacked once, into pair bits:
     m, its adjacency stack and the root sum read them. ``column[field]`` holds
-    the field per graph, group after group, and ``column["walks3"]`` the
-    closed 3-walks, six times the triangles.
+    the field per graph, group after group, ``column["walks3"]`` the
+    closed 3-walks, six times the triangles, and ``column["walks4"]`` tr A^4.
     ``applies[name]`` marks the graphs where a bound (and its slack), t_nz,
     epsilon or beta is set; elsewhere the column holds nan and a BoundReport
     None. ``values`` holds the spectra from ``solve(stacks, b)``, one per row,

@@ -5,14 +5,13 @@ CorpusSummary. A chunk is a list of (n, packed rows) groups (see ``graphs``):
 one graph6 block of a ``PackedCorpus``, or 1024 Graphs through
 ``graphs.packed_groups``. It travels as it is, in this process or to a
 worker, and becomes one ``bounds.BoundTable``. The verdicts are taken
-column-wise: every invariant row, the Grüss product-sum chain and identity
-(``gruss.energy_chain``'s arithmetic, bit for bit, without its vectors) and
-the spectral moment rows are vector expressions, a least slack is an argmin
-with exact ties going to the smaller graph6, and violations and hits are
-masks. Only the rows a verdict names become Graphs, for their graph6 and
-the complete-bipartite test. The merge is commutative and the final lists
-are sorted, so the outcome is identical for any worker count and any chunk
-order.
+column-wise: every invariant row and every spectrum row (the moments, the
+energy as a sum, Perron's bound, what ``--zero-tol`` drops) is a vector
+expression, a least slack is an argmin with exact ties going to the smaller
+graph6, and violations and hits are masks. Only the rows a verdict names
+become Graphs, for their graph6 and the complete-bipartite test. The merge
+is commutative and the final lists are sorted, so the outcome is identical
+for any worker count and any chunk order.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 # they stay importable from this module because perfbench/tracing.py's sites patch them
 from .bounds import BoundTable, bound_report  # noqa: F401
 from .graphs import Graph, is_complete_bipartite, packed_groups
-from .gruss import _BOUND_SLACK, _CHAIN_TOL, energy_chain  # noqa: F401
+from .gruss import energy_chain  # noqa: F401
 from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
                        sequential_sum, spectra_of_stacks, spectral_stats)
 
@@ -40,7 +39,8 @@ DEFAULT_EQUALITY_EPS = 1e-7
 EQUALITY_BOUNDS = ("cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lower")
 
 _CHUNK_SIZE = 1024
-_GRUSS_IDENTITY_TOL = 1e-6  # fixed, like _CHAIN_TOL: --tol moves neither
+_SPECTRUM_TOL = 1e-6  # fixed: --tol moves no moment:* or spectrum:* row
+_PERRON_SLACK = 1e-12  # how far an |eigenvalue| may pass lambda1 by rounding
 
 _PROVEN = ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound",
            "mcclelland_upper")
@@ -157,51 +157,38 @@ def _invariants(table: BoundTable) -> list[tuple]:
     ]
 
 
-def _check_gruss(summary: CorpusSummary, table: BoundTable) -> None:
-    """Grüss chain P >= P_lower and identity P = E^2 - 2m, full and rank-restricted.
-
-    ``gruss.energy_chain``'s arithmetic, bit for bit, on the graphs with an
-    edge: column k - 1 of the running sums is P over the k largest
-    |eigenvalues|, added left to right. A chain row hides the identity row.
-    """
-    c = table.column
-    energy, lam = c["energy"], c["lambda1"]
-    absvals = -np.sort(-np.abs(table.values), axis=1)
-    sums = np.cumsum(absvals * (energy[:, None] - absvals), axis=1)
-    target = energy * energy - 2.0 * c["m"]
-    perron = lam < absvals[:, 0] - _BOUND_SLACK  # BoundedVector's check: no |eigenvalue| > lambda1
-    nan = np.full(len(energy), math.nan)
-    for suffix, rows, k, small in (("", table.applies["main"], c["n"], c["t"]),
-                                   (":restricted", table.applies["rank_bound"], c["rank"], c["t_nz"])):
-        P = sums[np.arange(len(k)), k - 1]
-        P_lower = energy * energy + k * lam * small - (lam + small) * energy
-
-        def chain_detail(i: int) -> str:
-            if perron[i]:
-                return f"largest |eigenvalue| {float(absvals[i, 0])} exceeds lambda1 {float(lam[i])}"
-            return f"product sum {float(P[i])} fell below its lower bound {float(P_lower[i])}"
-
-        chain = rows & (perron | (P < P_lower - _CHAIN_TOL))
-        _flag(summary, table, "gruss:chain" + suffix, chain, nan, energy, chain_detail)
-        _flag(summary, table, "gruss:identity" + suffix,
-              rows & ~chain & (np.abs(P - target) > _GRUSS_IDENTITY_TOL), P, target,
-              "P != E^2 - 2m")
-
-
 def _check_moments(summary: CorpusSummary, table: BoundTable) -> None:
-    """Spectral moments sum(lambda) = 0 and sum(lambda^3) = 6 triangles, on every graph.
+    """Rows that hold for any spectrum, so that a residual means a wrong one.
 
-    Each holds for any graph, so a residual past the fixed tolerance means a
-    wrong spectrum, and costs only its graph.
+    The moments sum(lambda^k), k = 1..4, are 0, 2m, six times the triangles
+    and tr A^4; the solver's energy is the sum of the |eigenvalues|, added
+    largest first; no |eigenvalue| exceeds lambda1. Where ``rank_bound``
+    applies, the eigenvalues ``--zero-tol`` counts as zero, those past the
+    rank, have squares that sum to 0. Each row compares its own graph's
+    columns, so a wrong spectrum costs only its graph.
     """
-    values = table.values
-    for name, total, expected, detail in (
-        ("moment:sum", sequential_sum(values), np.zeros(len(values)), "sum of eigenvalues != 0"),
-        ("moment:cubes", sequential_sum(values * values * values), table.column["walks3"],
+    c, values = table.column, table.values
+    mags = -np.sort(-np.abs(values), axis=1)
+    squares = values * values
+    every, zero = np.ones(len(values), bool), np.zeros(len(values))
+    dropped = np.where(np.arange(mags.shape[1]) >= c["rank"][:, None], mags * mags, 0.0)
+    for name, rows, total, expected, detail in (
+        ("moment:sum", every, sequential_sum(values), zero, "sum of eigenvalues != 0"),
+        ("moment:squares", every, sequential_sum(squares), 2.0 * c["m"],
+         "sum of squared eigenvalues != 2m"),
+        ("moment:cubes", every, sequential_sum(squares * values), c["walks3"],
          "sum of cubed eigenvalues != 6 * triangles"),
+        ("moment:fourth", every, sequential_sum(squares * squares), c["walks4"],
+         "sum of fourth powers of the eigenvalues != tr A^4"),
+        ("spectrum:energy", every, sequential_sum(mags), c["energy"],
+         "energy != sum of |eigenvalues|"),
+        ("spectrum:zero_tol", table.applies["rank_bound"], sequential_sum(dropped), zero,
+         f"eigenvalues counted as zero have squares summing past {_SPECTRUM_TOL:g}"),
     ):
-        _flag(summary, table, name, np.abs(total - expected) > _GRUSS_IDENTITY_TOL, total,
+        _flag(summary, table, name, rows & (np.abs(total - expected) > _SPECTRUM_TOL), total,
               expected, detail)
+    _flag(summary, table, "spectrum:perron", c["lambda1"] < mags[:, 0] - _PERRON_SLACK,
+          mags[:, 0], c["lambda1"], "an |eigenvalue| exceeds lambda1")
 
 
 # Visitors: each takes every verdict of one chunk's BoundTable, plus its own settings.
@@ -211,7 +198,6 @@ def _verify(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
         _bound(summary, table, name, tol)
     for name, rows, a, b, margin, detail in _invariants(table):
         _flag(summary, table, name, rows & (margin < -tol), a, b, detail)
-    _check_gruss(summary, table)
     _check_moments(summary, table)
 
 
@@ -240,7 +226,7 @@ def _chunk(visit: Callable[..., None], zero_tol: float,
     """Visit the BoundTable of a chunk of graphs, given as (n, packed rows) groups.
 
     The solver always terminates. A wrong spectrum costs only its graph,
-    through the moment rows and the Grüss identity rows of ``verify``.
+    through the moment:* and spectrum:* rows of ``verify``.
     """
     summary = CorpusSummary(graphs_seen=sum(len(packed) for _, packed in chunk))
     # both solvers stay this module's globals, read here: tests patch them

@@ -31,7 +31,7 @@ CASES = {
     "conjectures_enum6_tol_neg": ["conjectures", "--enumerate", "6", "--tol", "-1"],
     "equality_main_enum6": ["equality", "--bound", "main", "--enumerate", "6"],
     # a zero threshold of 0.5 counts small nonzero eigenvalues as zero, which
-    # trips the rank-restricted Grüss rows
+    # trips spectrum:zero_tol on the 45 graphs that have one
     "verify_enum6_zero_tol": ["verify", "--enumerate", "6", "--zero-tol", "0.5"],
     "verify_gnp": ["verify", "--corpus", "{data}/gnp_small.g6"],
     "conjectures_gnp_tol_neg": ["conjectures", "--corpus", "{data}/gnp_small.g6",
