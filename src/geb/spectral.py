@@ -11,6 +11,13 @@ descending values and an energy column; ``spectral_columns`` derives the
 SpectralStats fields from them as columns. ``eigenvalues_batch`` and
 ``spectral_stats`` wrap both for Graphs and Spectrum objects.
 
+Every float64 working buffer of the solver and of the determinants starts on
+a 64-byte cache line (``_aligned_planes``). numpy leaves that to the
+allocator: with glibc 2.36 on x86-64 Linux, its buffers of 8 KB and up
+started 16 bytes past a line. With every buffer 16, 32 or 48 bytes past a
+line, a verify, conjectures and equality pass over connected8 ran 12-16%
+slower there than on the line, most of it in the bisection.
+
 ``determinants_of_stacks`` reads the same stacks. Its first 18 fraction-free
 elimination steps (Bareiss 1968) run once, in float64, where every value is
 a 0/1 minor small enough to be exact. From 20 vertices on, the trailing block
@@ -86,6 +93,19 @@ def _pairwise_sum(x: np.ndarray) -> np.ndarray:
     return s + 0.0
 
 
+def _aligned_planes(count: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``count`` float64 arrays of one shape, as one (count, *shape) view of one buffer.
+
+    Each plane starts on a 64-byte cache line, which numpy's own buffers
+    need not (see the module docstring); each plane's elements are contiguous.
+    """
+    size = math.prod(shape)
+    pitch = -(-size // 8) * 8  # elements per plane, whole lines
+    raw = np.empty(count * pitch + 7)
+    start = -raw.ctypes.data // 8 % 8
+    return raw[start : start + count * pitch].reshape(count, pitch)[:, :size].reshape(count, *shape)
+
+
 def _reduce_to_tridiagonal(a: np.ndarray) -> None:
     """Householder-reduce each matrix of an (n, n, b) symmetric stack in place.
 
@@ -95,11 +115,11 @@ def _reduce_to_tridiagonal(a: np.ndarray) -> None:
     a contiguous row does, so each matrix's arithmetic is that of a loop with
     the batch first. The trailing block stays exactly symmetric (each update
     adds v_i w_j + w_i v_j, the same float as entry (j, i)), so the matvec
-    sums over its rows. The two work buffers are freed on return, before the
-    bisection allocates its own.
+    sums over its rows. The two work buffers, each on a 64-byte line, are
+    freed on return, before the bisection allocates its own.
     """
     n, _, b = a.shape
-    work = np.empty((2, (n - 1) ** 2 * b))
+    work = _aligned_planes(2, ((n - 1) ** 2 * b,))
     for k in range(n - 2):
         m = n - 1 - k
         x = a[k + 1 :, k]
@@ -135,31 +155,40 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     A matrix with an edge takes 53 or 54 steps, as r rounds. Each step's
     bookkeeping runs in place, on buffers allocated once: the counts decide
     which end of each unconverged interval takes mid, and one branch-free
-    select on the int64 bits of both ends, held as one (2, n, b) array, moves
+    select on the int64 bits of both ends, held as one (2, n, b) view, moves
     them. The select's bits reuse the row loop's q and t, which are free then.
+    Every float64 (n, b) buffer of the bisection is a plane of one block and
+    starts on a 64-byte cache line; numpy's own buffers need not, and an
+    offset costs the row loop (see the module docstring).
     """
-    n = len(a)
+    n, _, b = a.shape
     _reduce_to_tridiagonal(a)
     idx = np.arange(n)
-    d = a[idx, idx]  # (n, b)
-    e2 = np.zeros_like(d)  # e2[i] = e_{i-1}^2, with e_{-1} = 0
-    e2[1:] = a[idx[1:], idx[:-1]] ** 2
-    # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
-    r = np.abs(d).max(axis=0) + 2.0 * np.sqrt(e2.max(axis=0))
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
-    tol = np.finfo(float).eps * np.maximum(1.0, r)
-    # no row step broadcasts: each per-matrix scalar is repeated over the n
-    # intervals as an (n, b) array, and each row of d and e2 as an (n, n, b) stack
-    hi, pivmin, tol = (np.repeat(x[None], n, axis=0) for x in (r, pivmin, tol))
-    # as lists of (n, b) rows: a list index costs less than an array index
-    d, e2 = (list(np.repeat(x[:, None], n, axis=1)) for x in (d, e2))
-    ends = np.stack([-hi, hi])  # lo and hi of every interval, as (2, n, b)
+    # no row step broadcasts: row i of d and e2 is repeated over the n
+    # intervals as an (n, b) plane, and so is each per-matrix scalar
+    planes = _aligned_planes(2 * n + 8, (n, b))
+    rows = planes[: 2 * n]
+    ends = planes[2 * n : 2 * n + 2]  # lo and hi of every interval
+    scratch = planes[2 * n + 2 : 2 * n + 4]  # q and t in the row loop, the blend's bits after it
+    mid, pivmin, clamp, tol = planes[2 * n + 4 :]
     lo, hi = ends
-    clamp = -pivmin  # what a q with |q| < pivmin becomes
-    rank = np.broadcast_to(idx[:, None], hi.shape).astype(_COUNT)
-    mid = np.empty(hi.shape)
-    scratch = np.empty(ends.shape)  # q and t in the row loop, the blend's bits after it
     q, t = scratch
+    d = a.diagonal(0, 0, 1).T  # (n, b) views of a's tridiagonal form
+    e = a.diagonal(-1, 0, 1).T
+    rows[:n] = d[:, None]
+    rows[n] = 0.0  # e2[i] = e_{i-1}^2, with e_{-1} = 0
+    np.square(e[:, None], out=rows[n + 1 :])
+    e2max = rows[n:, 0].max(axis=0)
+    # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
+    r = np.abs(d).max(axis=0) + 2.0 * np.sqrt(e2max)
+    hi[...] = r
+    np.negative(hi, out=lo)
+    pivmin[...] = np.finfo(float).tiny * np.maximum(1.0, e2max)
+    np.negative(pivmin, out=clamp)  # what a q with |q| < pivmin becomes
+    tol[...] = np.finfo(float).eps * np.maximum(1.0, r)
+    # as lists of (n, b) rows: a list index costs less than an array index
+    d, e2 = list(rows[:n]), list(rows[n:])
+    rank = np.broadcast_to(idx[:, None], hi.shape).astype(_COUNT)
     small, active = (np.empty(hi.shape, dtype=bool) for _ in range(2))
     below = small.view(_COUNT)  # small's bytes, as counts
     move = np.empty(ends.shape, dtype=bool)  # which of lo and hi take mid
@@ -221,7 +250,10 @@ def spectra_of_stacks(stacks: Iterable[tuple], b: int) -> tuple[np.ndarray, np.n
 
 
 def _float_batch_last(group: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    return group[0], np.ascontiguousarray(group[1].transpose(1, 2, 0), dtype=float)
+    rows, stack = group
+    a = _aligned_planes(1, stack.shape[1:] + stack.shape[:1])[0]
+    a[...] = stack.transpose(1, 2, 0)
+    return rows, a
 
 
 def eigenvalues_batch(graphs: Sequence[Graph]) -> list[Spectrum]:
@@ -311,7 +343,8 @@ def _bareiss_steps(stack: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarra
     (det 0), and the next step divides by 1.
     """
     n, _, b = stack.shape
-    first, (second, tmp) = np.empty(stack.size), np.empty((2, (n - 1) ** 2 * b))
+    first = _aligned_planes(1, (stack.size,))[0]
+    second, tmp = _aligned_planes(2, ((n - 1) ** 2 * b,))
     a = first.reshape(stack.shape)
     a[...] = stack
     sign = np.ones(b, dtype=np.int64)
@@ -345,7 +378,8 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
     shape. They and one temporary serve every prime.
     """
     n, _, b = stack.shape
-    first, (second, tmp) = np.empty(stack.size), np.empty((2, (n - 1) ** 2 * b))
+    first = _aligned_planes(1, (stack.size,))[0]
+    second, tmp = _aligned_planes(2, ((n - 1) ** 2 * b,))
     for p in primes:
         inv = 1.0 / p
         a = first.reshape(stack.shape)  # at step k: rows and columns k to n - 1

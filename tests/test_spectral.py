@@ -608,6 +608,52 @@ def test_kernels_peak_memory_at_the_corpus8_chunk_shape(data_dir):
         assert peak <= bound * stack.nbytes, (kernel.__name__, peak / stack.nbytes)
 
 
+def at_offset(x, offset):
+    """A copy of ``x`` whose buffer starts ``offset`` bytes past a 64-byte line."""
+    raw = np.empty(x.nbytes + 64, dtype=np.uint8)
+    start = (offset - raw.ctypes.data) % 64
+    out = raw[start : start + x.nbytes].view(x.dtype).reshape(x.shape)
+    out[...] = x
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+def test_no_result_depends_on_where_its_buffer_lies(data_dir):
+    # the Householder reduction and the determinants' first copy read the input
+    # wherever it lies, 0 to 48 bytes past a cache line; the results must not
+    # change in a single bit with its offset
+    with open(data_dir / "connected8.g6", encoding="ascii") as fh:
+        chunk = [parse_graph6(line) for line, _ in zip(fh, range(1024))]
+    rng = random.Random(64)
+    groups = [chunk, [Graph(62, rng.getrandbits(pair_count(62))) for _ in range(4)],
+              [Graph(30, rng.getrandbits(pair_count(30)))]]
+    solve, determinants = geb.spectral._tridiagonal_eigenvalues_stack, geb.spectral._stack_determinants
+    for graphs in groups:
+        stack = adjacency_stack(graphs[0].n, [g.adj for g in graphs]).transpose(1, 2, 0)
+        values, dets = set(), []
+        for offset in (0, 16, 32, 48):
+            values.add(solve(at_offset(stack.astype(float), offset)).tobytes())
+            dets.append(determinants(at_offset(stack, offset)))
+        assert len(values) == 1
+        assert dets[1:] == dets[:-1]
+    assert dets[0] == [bareiss_determinant(g) for g in groups[-1]]
+
+
+@pytest.mark.parametrize("n,b", [(1, 1), (7, 853), (8, 883), (30, 1), (62, 32)])
+def test_aligned_planes_start_on_cache_lines_and_never_overlap(n, b):
+    shapes = [(2 * n + 8, (n, b)), (2, ((n - 1) ** 2 * b,)), (1, (n * n * b,))]
+    for count, shape in shapes:  # the bisection's block, the work buffers, a stack copy
+        planes = geb.spectral._aligned_planes(count, shape)
+        assert planes.shape == (count, *shape) and planes.dtype == np.float64
+        for k, plane in enumerate(planes):
+            assert plane.ctypes.data % 64 == 0 or not plane.size  # n = 1 has no work buffers
+            assert plane.flags.c_contiguous
+            plane.fill(k)
+        assert all((plane == k).all() for k, plane in enumerate(planes))
+    _, copy = geb.spectral._float_batch_last((np.arange(b), adjacency_stack(n, [0] * b)))
+    assert copy.shape == (n, n, b) and copy.ctypes.data % 64 == 0 and copy.flags.c_contiguous
+
+
 @pytest.mark.parametrize(
     "g,det",
     [
