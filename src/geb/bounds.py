@@ -40,15 +40,15 @@ import numpy as np
 
 from .errors import EmptyGraph
 from .graph6 import write_graph6
-# degree_sequence, is_connected, is_regular, is_triangle_free and spectral_stats are not
-# called here; they stay importable from this module because perfbench/tracing.py's
-# CALL_SITES patch them
-from .graphs import (Graph, connected_column, degree_sequence, is_connected,  # noqa: F401
-                     is_regular, is_triangle_free, packed_groups, packed_rows, pair_bits,
-                     pair_stack, pairs_in_order)
-from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, Spectrum,  # noqa: F401
-                       determinant_exact, determinants_of_stacks, eigenvalues, sequential_sum,
-                       spectra_of_stacks, spectral_columns, spectral_stats)
+# degree_sequence, determinant_exact, eigenvalues, is_connected, is_regular, is_triangle_free
+# and spectral_stats are not called here; they stay importable from this module because
+# perfbench/tracing.py's sites patch them
+from .graphs import (Graph, degree_sequence, is_connected, is_regular,  # noqa: F401
+                     is_triangle_free, packed_groups, packed_rows, pair_bits, pair_stack,
+                     pairs_in_order, structure_columns)
+from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, determinant_exact,  # noqa: F401
+                       determinants_of_stacks, eigenvalues, sequential_sum, spectra_of_stacks,
+                       spectral_columns, spectral_stats)
 
 
 Value = float | np.ndarray  # a scalar, or a column with one entry per graph
@@ -143,21 +143,15 @@ def conj2_upper(m: Value, lambda1: Value) -> Value:
 def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per graph of a (b, n, n) 0/1 stack: regular, connected, closed 3- and 4-walks, root sum.
 
-    Closed 3-walks are six times the triangles; closed 4-walks, tr A^4, add
-    the squared entries of A^2. The root sum adds sqrt(d_i d_j) over the
+    ``graphs.structure_columns`` gives the degrees, connectivity and walks;
+    this adds regularity and the root sum, which adds sqrt(d_i d_j) over the
     edges, the stack's (b, C(n,2)) pair ``bits``, left to right.
-    Connectivity is ``graphs.connected_column``; float32 counts are exact.
     """
-    n = stack.shape[1]
-    a = stack.astype(np.float32)
-    a2 = a @ a
-    walks3 = (a2 * a).sum(axis=(1, 2), dtype=float)
-    walks4 = (a2 * a2).sum(axis=(1, 2), dtype=float)
-    degrees = a.sum(axis=2, dtype=float)
-    i, j = np.array(pairs_in_order(n), dtype=np.intp).reshape(-1, 2).T
+    degrees, connected, walks3, walks4 = structure_columns(stack)
+    i, j = np.array(pairs_in_order(stack.shape[1]), dtype=np.intp).reshape(-1, 2).T
     root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * bits)
     regular = degrees.min(axis=1) == degrees.max(axis=1)
-    return regular, connected_column(a, a2), walks3, walks4, root_sum
+    return regular, connected, walks3, walks4, root_sum
 
 
 @dataclass(frozen=True)
@@ -349,14 +343,6 @@ class BoundTable:
         return BoundReport(**row)
 
 
-def bound_report(
-    g: Graph, zero_tol: float = DEFAULT_ZERO_TOL, spectrum: Spectrum | None = None
-) -> BoundReport:
-    """Evaluate every bound on one graph: row 0 of a one-graph BoundTable.
-
-    Without a precomputed ``spectrum`` the graph is solved here.
-    """
-    spectrum = eigenvalues(g) if spectrum is None else spectrum
-    arrays = np.array([spectrum.values]), np.array([spectrum.energy])
-    return BoundTable(packed_groups([g]), lambda stacks, b: arrays,
-                      lambda stacks, b: [determinant_exact(g)], zero_tol).report(0)
+def bound_report(g: Graph, zero_tol: float = DEFAULT_ZERO_TOL) -> BoundReport:
+    """Evaluate every bound on one graph: row 0 of a one-graph BoundTable."""
+    return BoundTable(packed_groups([g]), zero_tol=zero_tol).report(0)

@@ -6,16 +6,15 @@ the unordered pair (i, j) with i < j occupies bit ``j*(j-1)//2 + i``, the
 column-by-column order of the graph6 format. Isolated vertices are legal (n
 is stored separately from the bits). A corpus chunk holds, per vertex
 count, one uint8 row per graph of the bitset's ceil(C(n,2)/8) little-endian
-bytes: packed rows. Only this module decodes the bits, in one of two ways:
-``edges`` and ``neighbor_masks`` read one memoized Python scan per graph;
-``pair_bits`` and ``pair_stack`` unpack many packed rows at once.
+bytes: packed rows. Only this module decodes the bits, with one decoder:
+``pair_bits`` and ``pair_stack`` unpack packed rows, and ``_decode`` is one
+graph's row; the per-graph predicates are row 0 of ``structure_columns``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,34 +73,20 @@ class Graph:
             return False
         return bool(self.adj >> pair_index(i, j) & 1)
 
-    @cached_property
-    def _structure(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-        return _decode(self)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges (i, j) with i < j, in bitset order."""
-        return self._structure[0]
+        j, i = np.nonzero(np.tril(_decode(self)))  # row-major lower triangle = bitset order
+        return tuple(zip(i.tolist(), j.tolist()))
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor sets as n-bit ints."""
-        return self._structure[1]
+        a = _decode(self).astype(np.int64)  # n <= 62: every mask fits in int64
+        return tuple((a << np.arange(self.n)).sum(axis=1).tolist())
 
 
-def _decode(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The one scan of a bitset: edges in bitset order and neighbor masks."""
-    pairs = pairs_in_order(g.n)
-    masks = [0] * g.n
-    edges = []
-    for j in range(1, g.n):
-        start = pair_index(0, j)
-        col = g.adj >> start & ((1 << j) - 1)  # neighbors i < j
-        masks[j] = col
-        while col:
-            i = (col & -col).bit_length() - 1
-            col &= col - 1
-            masks[i] |= 1 << j
-            edges.append(pairs[start + i])  # a shared tuple: the memo keeps a pointer
-    return tuple(edges), tuple(masks)
+def _decode(g: Graph) -> np.ndarray:
+    """g's (n, n) uint8 0/1 matrix, row 0 of ``adjacency_stack``."""
+    return adjacency_stack(g.n, [g.adj])[0]
 
 
 def packed_rows(n: int, bitsets: Sequence[int]) -> np.ndarray:
@@ -147,6 +132,19 @@ def connected_column(a: np.ndarray, a2: np.ndarray | None = None) -> np.ndarray:
         reach = (reach > 0).astype(np.float32)
         reach, span = reach @ reach, 2 * span
     return (reach[:, 0] > 0).all(axis=1)
+
+
+def structure_columns(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per graph of a (b, n, n) 0/1 stack: its (b, n) degrees, connected, closed 3- and 4-walks.
+
+    Closed 3-walks are six times the triangles; closed 4-walks, tr A^4, add
+    the squared entries of A^2. In float32 every count is exact.
+    """
+    a = stack.astype(np.float32)
+    a2 = a @ a
+    walks3 = (a2 * a).sum(axis=(1, 2), dtype=float)
+    walks4 = (a2 * a2).sum(axis=(1, 2), dtype=float)
+    return a.sum(axis=2, dtype=float), connected_column(a, a2), walks3, walks4
 
 
 def stacks_by_n(sizes: Sequence[int], bitsets: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
@@ -206,69 +204,35 @@ def petersen() -> Graph:
     return from_edge_list(10, outer + inner + spokes)
 
 
+def _structure_of(g: Graph) -> tuple[np.ndarray, ...]:
+    """``structure_columns`` of g alone, row 0 of each column."""
+    return tuple(column[0] for column in structure_columns(_decode(g)[None]))
+
+
 def degree_sequence(g: Graph) -> list[int]:
     """Degree of each vertex, in vertex order."""
-    return [m.bit_count() for m in g.neighbor_masks()]
+    return _structure_of(g)[0].astype(np.int64).tolist()
 
 
 def is_regular(g: Graph) -> bool:
-    degs = degree_sequence(g)
-    return min(degs) == max(degs)
+    return len(set(degree_sequence(g))) == 1
 
 
 def is_connected(g: Graph) -> bool:
-    """``connected_column`` of g alone."""
-    return bool(connected_column(adjacency_stack(g.n, [g.adj]).astype(np.float32))[0])
+    return bool(_structure_of(g)[1])
 
 
 def triangle_count(g: Graph) -> int:
-    """Number of triangles, via neighbor-set intersections over edges."""
-    masks = g.neighbor_masks()
-    return sum((masks[i] & masks[j]).bit_count() for i, j in g.edges()) // 3
+    """Number of triangles: a sixth of the closed 3-walks."""
+    return int(_structure_of(g)[2]) // 6
 
 
 def is_triangle_free(g: Graph) -> bool:
     return triangle_count(g) == 0
 
 
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-coloring as a pair of vertex bitmasks, or None if not bipartite.
-
-    Disconnected graphs are colored per component (one of possibly many
-    valid colorings).
-    """
-    masks = g.neighbor_masks()
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            nb = masks[v]
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if color[u] < 0:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    side0 = sum(1 << v for v in range(g.n) if color[v] == 0)
-    return side0, ((1 << g.n) - 1) ^ side0
-
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
-
-
 def is_complete_bipartite(g: Graph) -> bool:
-    """True iff g is K_{p,q} for some p, q >= 1 (so g must be connected)."""
-    if g.edge_count == 0 or not is_connected(g):
-        return False
-    parts = bipartition(g)
-    if parts is None:
-        return False
-    p = parts[0].bit_count()
-    return g.edge_count == p * (g.n - p)
+    """True iff g is K_{p,q} for some p, q >= 1: g has an edge and A = s xor s^T,
+    where s, row 0 of A, marks the part without vertex 0."""
+    a = _decode(g)
+    return g.edge_count >= 1 and bool(np.array_equal(a, a[0][:, None] ^ a[0]))

@@ -11,20 +11,19 @@ from geb.errors import CycleTooShort, NTooLarge, SelfLoop, VertexOutOfRange
 from geb.graphs import (
     Graph,
     adjacency_stack,
-    bipartition,
     complete,
     complete_bipartite,
     connected_column,
     cycle,
     degree_sequence,
     from_edge_list,
-    is_bipartite,
     is_complete_bipartite,
     is_connected,
     is_regular,
     is_triangle_free,
     msb_first,
     pair_count,
+    pair_index,
     path,
     petersen,
     triangle_count,
@@ -105,7 +104,7 @@ def test_complete_bipartite_is_connected_triangle_free_bipartite(p, q):
     g = complete_bipartite(p, q)
     assert is_connected(g)
     assert is_triangle_free(g)
-    assert is_bipartite(g)
+    assert is_complete_bipartite(g)
     assert g.edge_count == p * q
 
 
@@ -180,17 +179,47 @@ def test_connected_column_matches_networkx(n):
     assert [is_connected(g) for g in graphs] == want
 
 
-def test_bipartition_and_complete_bipartite_detection():
+def test_complete_bipartite_detection():
     assert is_complete_bipartite(complete_bipartite(2, 3))
     assert is_complete_bipartite(cycle(4))  # C4 is K_{2,2}
     assert not is_complete_bipartite(cycle(5))
     assert not is_complete_bipartite(path(4))
     assert not is_complete_bipartite(complete(3))
-    assert bipartition(complete(3)) is None
-    parts = bipartition(complete_bipartite(2, 3))
-    assert parts is not None
-    sizes = sorted(p.bit_count() for p in parts)
-    assert sizes == [2, 3]
+
+
+def networkx_complete_bipartite(nx, g):
+    """The oracle: g is connected, bipartite, and has |X| * |Y| edges."""
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from((i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.has_edge(i, j))
+    if ref.number_of_edges() == 0 or not nx.is_connected(ref) or not nx.is_bipartite(ref):
+        return False
+    side, _ = nx.bipartite.sets(ref)
+    return ref.number_of_edges() == len(side) * (g.n - len(side))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_complete_bipartite_matches_networkx_on_every_graph(n):
+    nx = pytest.importorskip("networkx")
+    from geb.enumeration import enumerate_graphs
+
+    graphs = enumerate_graphs(n, connected=False)
+    assert [is_complete_bipartite(g) for g in graphs] == [
+        networkx_complete_bipartite(nx, g) for g in graphs]
+    assert any(is_complete_bipartite(g) for g in graphs) == (n >= 2)
+
+
+def test_complete_bipartite_matches_networkx_at_62_vertices():
+    nx = pytest.importorskip("networkx")
+    k31 = complete_bipartite(31, 31)
+    cases = {
+        k31: True,
+        complete_bipartite(1, 61): True,
+        Graph(62, k31.adj & ~(1 << pair_index(0, 31))): False,  # less one edge
+        Graph(62, complete_bipartite(30, 31).adj): False,       # plus an isolated vertex
+    }
+    for g, want in cases.items():
+        assert is_complete_bipartite(g) == networkx_complete_bipartite(nx, g) == want
 
 
 def test_edges_match_has_edge():
@@ -233,12 +262,12 @@ def test_msb_first_is_its_own_inverse():
             assert msb_first(n, 1) == 1 << (length - 1)  # pair (0, 1) goes first
 
 
-def test_structure_is_decoded_once_and_shared():
+def test_edges_and_neighbor_masks_read_the_bitset():
     g = petersen()
-    assert g.edges() is g.edges()
-    assert g.neighbor_masks() is g.neighbor_masks()
     assert isinstance(g.edges(), tuple) and isinstance(g.neighbor_masks(), tuple)
     assert list(g.edges()) == sorted(g.edges(), key=lambda e: (e[1], e[0]))
+    assert g.neighbor_masks() == tuple(sum(1 << j for j in range(g.n) if g.has_edge(i, j))
+                                       for i in range(g.n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 62])  # 12 and 62 need more than 63 bits
@@ -250,7 +279,8 @@ def test_adjacency_stack_matches_edges(n):
     assert stack.shape == (len(bitsets), n, n) and stack.dtype == np.uint8
     for bits, adj in zip(bitsets, stack):
         expected = np.zeros((n, n), dtype=np.uint8)
-        for i, j in Graph(n, bits).edges():
-            expected[i, j] = expected[j, i] = 1
+        g = Graph(n, bits)
+        for i, j in itertools.combinations(range(n), 2):
+            expected[i, j] = expected[j, i] = g.has_edge(i, j)
         assert np.array_equal(adj, expected)
         assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
