@@ -240,9 +240,22 @@ def _structure_columns(stacks: list, bits: list, n: np.ndarray, m: np.ndarray,
             "slack_conj1": energy - conj1, "slack_conj2": conj2 - energy}
 
 
+def _spectrum_columns(values: np.ndarray, rank: np.ndarray) -> dict[str, np.ndarray]:
+    """What the spectrum checks add up: the power sums sum(lambda^k), k = 1..4, the
+    |eigenvalues| largest first and the largest, and the squares of those past the rank."""
+    mags = -np.sort(-np.abs(values), axis=1)
+    squares = values * values
+    dropped = np.where(np.arange(mags.shape[1]) >= rank[:, None], mags * mags, 0.0)
+    return {"moment1": sequential_sum(values), "moment2": sequential_sum(squares),
+            "moment3": sequential_sum(squares * values),
+            "moment4": sequential_sum(squares * squares), "abs_sum": sequential_sum(mags),
+            "abs_max": mags[:, 0], "dropped_squares": sequential_sum(dropped)}
+
+
 _DETERMINANT = ("det_abs", "mcclelland_lower", "slack_mcclelland_lower")
 _STRUCTURE = ("is_connected", "is_regular", "is_triangle_free", "walks3", "walks4", "epsilon",
               "conj1", "conj2", "slack_conj1", "slack_conj2")
+_SPECTRUM = ("moment1", "moment2", "moment3", "moment4", "abs_sum", "abs_max", "dropped_squares")
 
 
 class _OnDemand(dict):
@@ -269,18 +282,19 @@ class BoundTable:
 
     Each (n, packed rows) group of the chunk is unpacked once, into pair bits:
     m, its adjacency stack and the root sum read them. ``column[field]`` holds
-    the field per graph, group after group, ``column["walks3"]`` the
-    closed 3-walks, six times the triangles, and ``column["walks4"]`` tr A^4.
-    ``applies[name]`` marks the graphs where a bound (and its slack), t_nz,
-    epsilon or beta is set; elsewhere the column holds nan and a BoundReport
-    None. ``values`` holds the spectra from ``solve(stacks, b)``, one per row,
-    zero-padded to the longest. ``graph(i)`` and ``graph6(i)`` build row i's
-    Graph and graph6 once, when asked.
+    the field per graph, group after group, and ``column["walksK"]`` tr A^K
+    for K = 2, 3, 4, which the spectrum checks compare with the power sums of
+    ``_spectrum_columns``. ``applies[name]`` marks the graphs where a bound
+    (and its slack), t_nz, epsilon or beta is set; elsewhere the column holds
+    nan and a BoundReport None. ``values`` holds the spectra from
+    ``solve(stacks, b)``, one per row, zero-padded to the longest. ``graph(i)``
+    and ``graph6(i)`` build row i's Graph and graph6 once, when asked, and
+    ``graph6_order()`` each row's place in graph6 order, with no encoding.
 
-    Two column groups are built when one of their columns is first read:
+    Three column groups are built when one of their columns is first read:
     ``determinants(stacks, b)``, called once at most, and McClelland's lower
-    bound; ``_structure`` and what needs connectivity or the root sum.
-    Everything else is built here.
+    bound; ``_structure`` and what needs connectivity or the root sum; the
+    spectrum's sums. Everything else is built here.
     """
 
     def __init__(self, chunk: Sequence[tuple[int, np.ndarray]],
@@ -312,14 +326,16 @@ class BoundTable:
         }
         upper = mcclelland_upper(n, m)
         eager = col | lower | {"slack_" + name: energy - bound for name, bound in lower.items()}
-        eager.update(n=n, m=m, mcclelland_upper=upper, slack_mcclelland_upper=upper - energy,
-                     beta=_where(edged, _beta, n, m, lam))
+        eager.update(n=n, m=m, walks2=2.0 * m, mcclelland_upper=upper,
+                     slack_mcclelland_upper=upper - energy, beta=_where(edged, _beta, n, m, lam))
         # the group builders hold arrays, not the table: no reference cycle
         # keeps a finished chunk's table alive until the next full collection
         dets = partial(_determinant_columns, stacks, n, m, energy, determinants)
         structure = partial(_structure_columns, stacks, bits, n, m, energy, lam)
+        spectrum = partial(_spectrum_columns, self.values, rank)
         self.column = column = _OnDemand(
-            dict.fromkeys(_DETERMINANT, dets) | dict.fromkeys(_STRUCTURE, structure), eager)
+            dict.fromkeys(_DETERMINANT, dets) | dict.fromkeys(_STRUCTURE, structure)
+            | dict.fromkeys(_SPECTRUM, spectrum), eager)
         conjectures = ("conj1", "conj2")  # on connected graphs with an edge
         self.applies = _OnDemand(
             dict.fromkeys(conjectures,
@@ -332,6 +348,16 @@ class BoundTable:
             return Graph(size, int.from_bytes(packed[i - starts[k]].tobytes(), "little"))
         self.graph = graph = cache(graph)
         self.graph6 = cache(lambda i: write_graph6(graph(i)))
+
+        def graph6_order() -> np.ndarray:
+            # each row's place in a stable sort of the keys (n, pair bits with pair 0 first)
+            keys = np.zeros((len(n), 1 + max((p.shape[1] for _, p in chunk), default=0)), np.uint8)
+            keys[:, 0] = n
+            for (rows, _), group_bits in zip(stacks, bits):
+                packed = np.packbits(group_bits, axis=1, bitorder="big")
+                keys[rows, 1 : 1 + packed.shape[1]] = packed
+            return np.argsort(np.argsort(keys.view(f"V{keys.shape[1]}").ravel(), kind="stable"))
+        self.graph6_order = cache(graph6_order)
 
     def report(self, i: int) -> BoundReport:
         """Row i as a BoundReport of Python scalars."""

@@ -181,7 +181,7 @@ def _print_summary(summary: CorpusSummary, violations_label: str) -> None:
     print(f"graphs seen: {summary.graphs_seen}")
     print(f"graphs skipped: {summary.graphs_skipped}")
     print(f"{violations_label}: {len(summary.violations)}")
-    for name in sorted(summary.extremes):
+    for name in sorted(summary.extremes.keys() & set(BoundReport.csv_header())):  # bounds only
         ext = summary.extremes[name]
         print(f"min slack {name}: {ext.slack:.12g} at {ext.graph6}")
 

@@ -10,8 +10,8 @@ sits from its own bounds (``dragomir_bound``).
 
 ``energy_chain`` instantiates this with x = sorted absolute eigenvalues and
 y = energy - x, which turns the machinery into a lower bound on the pairwise
-product sum P = sum_{i != j} |l_i| |l_j|. This module is the library API and
-the tests' reference; the verifier checks P >= P_lower without the vectors.
+product sum P = sum_{i != j} |l_i| |l_j|. This module is a library API and
+the tests' reference; no command calls it.
 """
 
 from __future__ import annotations

@@ -4,14 +4,14 @@ verify, conjectures and equality fold chunks of graphs into one
 CorpusSummary. A chunk is a list of (n, packed rows) groups (see ``graphs``):
 one graph6 block of a ``PackedCorpus``, or 1024 Graphs through
 ``graphs.packed_groups``. It travels as it is, in this process or to a
-worker, and becomes one ``bounds.BoundTable``. The verdicts are taken
-column-wise: every invariant row and every spectrum row (the moments, the
-energy as a sum, Perron's bound, what ``--zero-tol`` drops) is a vector
-expression, a least slack is an argmin with exact ties going to the smaller
-graph6, and violations and hits are masks. Only the rows a verdict names
-become Graphs, for their graph6 and the complete-bipartite test. The merge
-is commutative and the final lists are sorted, so the outcome is identical
-for any worker count and any chunk order.
+worker, and becomes one ``bounds.BoundTable``. Every verdict is a row of
+one table, ``_CHECKS``: the bounds, the conjectures, the cross-bound
+invariants and the spectrum rows. One fold, ``_judge``, takes each row
+column-wise: violations are a mask, and the least margin is an argmin with
+exact ties going to the smaller graph6. Only the rows a verdict names become
+Graphs, for their graph6 and the complete-bipartite test. The merge is
+commutative and the final lists are sorted, so the outcome is identical for
+any worker count and any chunk order.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .bounds import BoundTable, bound_report  # noqa: F401
 from .graphs import Graph, is_complete_bipartite, packed_groups
 from .gruss import energy_chain  # noqa: F401
 from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
-                       sequential_sum, spectra_of_stacks, spectral_stats)
+                       spectra_of_stacks, spectral_stats)
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EQUALITY_EPS = 1e-7
@@ -41,9 +41,6 @@ EQUALITY_BOUNDS = ("cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lo
 _CHUNK_SIZE = 1024
 _SPECTRUM_TOL = 1e-6  # fixed: --tol moves no moment:* or spectrum:* row
 _PERRON_SLACK = 1e-12  # how far an |eigenvalue| may pass lambda1 by rounding
-
-_PROVEN = ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound",
-           "mcclelland_upper")
 
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class CorpusSummary:
     extremes: dict[str, Extreme] = field(default_factory=dict)
 
     def note_extreme(self, name: str, graph6: str, slack: float) -> None:
-        """Keep the least slack per name; ties go to the smaller graph6."""
+        """Keep the least margin per check; ties go to the smaller graph6."""
         mine = self.extremes.get(name)
         if mine is None or (slack, graph6) < (mine.slack, mine.graph6):
             self.extremes[name] = Extreme(graph6, slack)
@@ -104,118 +101,94 @@ class CorpusSummary:
         return self
 
 
-def _flag(summary: CorpusSummary, table: BoundTable, name: str, rows: np.ndarray,
-          a: np.ndarray, b: np.ndarray, detail: str | Callable[[int], str] | None) -> None:
-    """One ``name`` violation per row where ``rows`` holds, comparing columns a and b.
-
-    ``detail`` is a string, or a function of the row index."""
-    for i in np.flatnonzero(rows).tolist():
-        summary.violations.append(Violation(table.graph6(i), name, float(a[i]), float(b[i]),
-                                            detail(i) if callable(detail) else detail))
+def _spectrum(table: BoundTable, i: int) -> str:
+    values = table.values[i, : table.column["n"][i]].tolist()
+    return "spectrum=[" + ", ".join(f"{v:.12g}" for v in values) + "]"
 
 
-def _bound(summary: CorpusSummary, table: BoundTable, name: str, tol: float,
-           detail: Callable[[int], str] | None = None) -> np.ndarray:
-    """Note bound ``name``'s least slack and flag its slacks below -tol.
-
-    Both run over the rows where the bound applies, which are returned. The
-    least slack is an argmin; exact ties go to the smaller graph6.
-    """
-    rows, slack = table.applies[name], table.column["slack_" + name]
-    candidates = np.flatnonzero(rows & ~np.isnan(slack))
-    if candidates.size:
-        ties = candidates[slack[candidates] == slack[candidates].min()]
-        i = min(ties.tolist(), key=table.graph6)
-        summary.note_extreme(name, table.graph6(i), float(slack[i]))
-    _flag(summary, table, name, rows & (slack < -tol), table.column[name],
-          table.column["energy"], detail)
-    return rows
-
-
-def _invariants(table: BoundTable) -> list[tuple]:
-    """Cross-bound invariants as columns: (name, rows, a, b, margin, detail).
-
-    An invariant is checked on ``rows`` and holds where its margin is
-    nonnegative; a and b are the values it compares.
-    """
-    c, edged = table.column, table.applies["main"]
-    connected = edged & c["is_connected"]
-    main, cor, amgm, rank_bound = c["main"], c["cor_nice"], c["amgm"], c["rank_bound"]
-    eps, beta = c["epsilon"], c["beta"]
-    return [
-        ("chain:main_ge_cor_nice", edged, main, cor, main - cor, "main fell below cor_nice"),
-        ("chain:amgm_le_main", edged, amgm, main, main - amgm, "amgm exceeded main"),
-        ("chain:rank_ge_main", table.applies["rank_bound"], rank_bound, main, rank_bound - main,
-         "rank_bound fell below main"),
-        ("dominance:triangle_free", edged & c["is_triangle_free"], cor, c["caporossi"],
-         cor - c["caporossi"], "cor_nice fell below caporossi"),
-        ("regular:gutman", connected & c["is_regular"], cor, c["n"] * 1.0, -np.abs(cor - c["n"]),
-         "cor_nice differs from n on a regular graph"),
-        ("irregularity:beta_ge_eps", connected, beta, eps, beta - eps, "beta fell below epsilon"),
-        ("irregularity:eps_ge_1", connected, eps, np.ones_like(eps), eps - 1.0,
-         "epsilon fell below 1"),
-    ]
+# Every check: (name, rows, a, relation, b, tol, detail). a relation b must hold within
+# tol (None: the command's) where every ``applies`` mask or bool column named in rows
+# holds; a and b name columns or are numbers. The margin is a - b (>=), b - a (<=) or
+# -|a - b| (==): a bound's slack. detail is a string, a function of (table, row), or None.
+# The spectrum rows hold for any spectrum, so a residual means a wrong one.
+_CHECKS = {check[0]: check for check in (
+    *((name, (name,), name, "<=", "energy", None, None) for name in
+      ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound")),
+    ("mcclelland_upper", ("mcclelland_upper",), "mcclelland_upper", ">=", "energy", None, None),
+    ("chain:main_ge_cor_nice", ("main",), "main", ">=", "cor_nice", None,
+     "main fell below cor_nice"),
+    ("chain:amgm_le_main", ("main",), "amgm", "<=", "main", None, "amgm exceeded main"),
+    ("chain:rank_ge_main", ("rank_bound",), "rank_bound", ">=", "main", None,
+     "rank_bound fell below main"),
+    ("dominance:triangle_free", ("main", "is_triangle_free"), "cor_nice", ">=", "caporossi", None,
+     "cor_nice fell below caporossi"),
+    ("regular:gutman", ("main", "is_connected", "is_regular"), "cor_nice", "==", "n", None,
+     "cor_nice differs from n on a regular graph"),
+    ("irregularity:beta_ge_eps", ("main", "is_connected"), "beta", ">=", "epsilon", None,
+     "beta fell below epsilon"),
+    ("irregularity:eps_ge_1", ("main", "is_connected"), "epsilon", ">=", 1.0, None,
+     "epsilon fell below 1"),
+    ("moment:sum", (), "moment1", "==", 0.0, _SPECTRUM_TOL, "sum of eigenvalues != 0"),
+    ("moment:squares", (), "moment2", "==", "walks2", _SPECTRUM_TOL,
+     "sum of squared eigenvalues != 2m"),
+    ("moment:cubes", (), "moment3", "==", "walks3", _SPECTRUM_TOL,
+     "sum of cubed eigenvalues != 6 * triangles"),
+    ("moment:fourth", (), "moment4", "==", "walks4", _SPECTRUM_TOL,
+     "sum of fourth powers of the eigenvalues != tr A^4"),
+    ("spectrum:energy", (), "abs_sum", "==", "energy", _SPECTRUM_TOL,
+     "energy != sum of |eigenvalues|"),
+    ("spectrum:perron", (), "abs_max", "<=", "lambda1", _PERRON_SLACK,
+     "an |eigenvalue| exceeds lambda1"),
+    ("spectrum:zero_tol", ("rank_bound",), "dropped_squares", "==", 0.0, _SPECTRUM_TOL,
+     f"eigenvalues counted as zero have squares summing past {_SPECTRUM_TOL:g}"),
+    ("conj1", ("conj1",), "conj1", "<=", "energy", None, _spectrum),
+    ("conj2", ("conj2",), "conj2", ">=", "energy", None, _spectrum),
+)}
+_VERIFY = tuple(name for name in _CHECKS if not name.startswith("conj"))
 
 
-def _check_moments(summary: CorpusSummary, table: BoundTable) -> None:
-    """Rows that hold for any spectrum, so that a residual means a wrong one.
-
-    The moments sum(lambda^k), k = 1..4, are 0, 2m, six times the triangles
-    and tr A^4; the solver's energy is the sum of the |eigenvalues|, added
-    largest first; no |eigenvalue| exceeds lambda1. Where ``rank_bound``
-    applies, the eigenvalues ``--zero-tol`` counts as zero, those past the
-    rank, have squares that sum to 0. Each row compares its own graph's
-    columns, so a wrong spectrum costs only its graph.
-    """
-    c, values = table.column, table.values
-    mags = -np.sort(-np.abs(values), axis=1)
-    squares = values * values
-    every, zero = np.ones(len(values), bool), np.zeros(len(values))
-    dropped = np.where(np.arange(mags.shape[1]) >= c["rank"][:, None], mags * mags, 0.0)
-    for name, rows, total, expected, detail in (
-        ("moment:sum", every, sequential_sum(values), zero, "sum of eigenvalues != 0"),
-        ("moment:squares", every, sequential_sum(squares), 2.0 * c["m"],
-         "sum of squared eigenvalues != 2m"),
-        ("moment:cubes", every, sequential_sum(squares * values), c["walks3"],
-         "sum of cubed eigenvalues != 6 * triangles"),
-        ("moment:fourth", every, sequential_sum(squares * squares), c["walks4"],
-         "sum of fourth powers of the eigenvalues != tr A^4"),
-        ("spectrum:energy", every, sequential_sum(mags), c["energy"],
-         "energy != sum of |eigenvalues|"),
-        ("spectrum:zero_tol", table.applies["rank_bound"], sequential_sum(dropped), zero,
-         f"eigenvalues counted as zero have squares summing past {_SPECTRUM_TOL:g}"),
-    ):
-        _flag(summary, table, name, rows & (np.abs(total - expected) > _SPECTRUM_TOL), total,
-              expected, detail)
-    _flag(summary, table, "spectrum:perron", c["lambda1"] < mags[:, 0] - _PERRON_SLACK,
-          mags[:, 0], c["lambda1"], "an |eigenvalue| exceeds lambda1")
+def _margin(table: BoundTable, name: str) -> tuple[np.ndarray, ...]:
+    """Check ``name``'s (rows, a, b, margin) columns on a table."""
+    _, gates, a, relation, b, _, _ = _CHECKS[name]
+    c = table.column
+    rows = np.ones(len(c["n"]), bool)
+    for key in gates:  # an applies mask, else a bool column
+        rows = rows & (c[key] if table.applies.get(key) is None else table.applies[key])
+    a, b = (c[x] if isinstance(x, str) else np.full(len(rows), x) for x in (a, b))
+    return rows, a, b, a - b if relation == ">=" else b - a if relation == "<=" else -np.abs(a - b)
 
 
-# Visitors: each takes every verdict of one chunk's BoundTable, plus its own settings.
+def _judge(summary: CorpusSummary, table: BoundTable, names: Iterable[str], tol: float) -> None:
+    """Take the named checks on a table: flag every row with margin < -tol, and note
+    each check's least margin and its arg-min; exact ties go to the smaller graph6."""
+    for name in names:
+        rows, a, b, margin = _margin(table, name)
+        bar, detail = _CHECKS[name][5:]
+        candidates = np.flatnonzero(rows & ~np.isnan(margin))
+        if candidates.size:
+            ties = candidates[margin[candidates] == margin[candidates].min()]
+            i = ties[np.argmin(table.graph6_order()[ties])] if ties.size > 1 else ties[0]
+            summary.note_extreme(name, table.graph6(int(i)), float(margin[i]))
+        for i in np.flatnonzero(rows & (margin < -(tol if bar is None else bar))).tolist():
+            summary.violations.append(Violation(table.graph6(i), name, float(a[i]), float(b[i]),
+                                                detail(table, i) if callable(detail) else detail))
+
+
+# Visitors: each takes the checks of its command on one chunk's BoundTable.
 
 def _verify(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
-    for name in _PROVEN:
-        _bound(summary, table, name, tol)
-    for name, rows, a, b, margin, detail in _invariants(table):
-        _flag(summary, table, name, rows & (margin < -tol), a, b, detail)
-    _check_moments(summary, table)
+    _judge(summary, table, _VERIFY, tol)
 
 
 def _conjectures(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
-    def spectrum(i: int) -> str:
-        values = table.values[i, : table.column["n"][i]].tolist()
-        return "spectrum=[" + ", ".join(f"{v:.12g}" for v in values) + "]"
-
-    # both conjectures apply on exactly the connected graphs with an edge
-    rows = _bound(summary, table, "conj1", tol, spectrum)
-    _bound(summary, table, "conj2", tol, spectrum)
-    summary.graphs_skipped += int(np.count_nonzero(~rows))
+    _judge(summary, table, ("conj1", "conj2"), tol)
+    summary.graphs_skipped += int(np.count_nonzero(~table.applies["conj1"]))
 
 
 def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float) -> None:
-    rows = _bound(summary, table, bound, math.inf)  # a scan: nothing is a violation
+    _judge(summary, table, (bound,), math.inf)  # a scan: nothing is a violation
+    rows, slack = table.applies[bound], table.column["slack_" + bound]
     summary.graphs_skipped += int(np.count_nonzero(~rows))
-    slack = table.column["slack_" + bound]
     for i in np.flatnonzero(rows & (np.abs(slack) <= eps)).tolist():
         summary.equality_hits.append(EqualityHit(
             table.graph6(i), bound, float(slack[i]), is_complete_bipartite(table.graph(i))))

@@ -3,8 +3,10 @@
 import gc
 import hashlib
 import math
+import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from geb.graphs import (
     cycle,
     from_edge_list,
     packed_groups,
+    packed_rows,
     path,
     petersen,
 )
@@ -418,3 +421,25 @@ def test_a_read_table_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_graph6_order_is_the_order_of_the_graph6_strings(monkeypatch):
+    # groups out of n order, one n in two groups, n = 1 (no pair bits), 2 and 62, and
+    # pairs of graphs that differ only in pair 0 or only in the last pair
+    rng = random.Random(26)
+
+    def some(n, count):
+        bitsets = [rng.getrandbits(n * (n - 1) // 2) for _ in range(count)]
+        last = 1 << n * (n - 1) // 2 - 1
+        return [Graph(n, b) for b in bitsets + [bitsets[0] ^ 1, bitsets[0] ^ last]]
+
+    groups = [some(62, 3), [Graph(2, 1), Graph(2, 0)], some(8, 4), [Graph(1), Graph(1)],
+              some(13, 2), some(8, 3), some(3, 2)]
+    table = BoundTable([(g[0].n, packed_rows(g[0].n, [h.adj for h in g])) for g in groups])
+    encoded = []
+    monkeypatch.setattr(bounds, "write_graph6", lambda g: encoded.append(g) or write_graph6(g))
+    order = table.graph6_order()
+    assert encoded == []
+    names = [write_graph6(g) for group in groups for g in group]
+    assert sorted(order.tolist()) == list(range(len(names)))
+    assert [names[i] for i in np.argsort(order)] == sorted(names)

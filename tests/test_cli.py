@@ -215,7 +215,7 @@ def test_skip_bad_across_a_decode_block_is_the_same_for_any_jobs(capsys, tmp_pat
                    "skipping line 2049: n=8 needs 5 payload bytes, got 2\n")
 
 
-@pytest.mark.parametrize("argv, checks", [(["verify"], 7), (["conjectures"], 2),
+@pytest.mark.parametrize("argv, checks", [(["verify"], 21), (["conjectures"], 2),
                                           (["equality", "--bound", "main"], 1)],
                          ids=["verify", "conjectures", "equality"])
 def test_corpus_commands_build_graphs_only_for_the_rows_a_verdict_names(

@@ -110,6 +110,22 @@ def test_verify_extremes_identify_tight_graph():
     }
 
 
+def test_every_check_notes_the_least_margin_at_the_smaller_graph6(monkeypatch, data_dir):
+    # chunks of 500 of a shuffled connected8 against one table of the whole corpus:
+    # each extreme is the least (margin, graph6) over every row its check covers
+    with open(data_dir / "connected8.g6", encoding="ascii") as fh:
+        corpus = [g for _, g in graph6.stream_corpus(fh)]
+    random.Random(26).shuffle(corpus)
+    monkeypatch.setattr(harness, "_CHUNK_SIZE", 500)
+    summary = run_verify(corpus)
+    assert sorted(summary.extremes) == sorted(harness._VERIFY) and len(summary.extremes) == 21
+    whole, names = BoundTable(packed_groups(corpus)), [write_graph6(g) for g in corpus]
+    for name, ext in summary.extremes.items():
+        rows, _, _, margin = harness._margin(whole, name)
+        least = min((margin[i], names[i]) for i in np.flatnonzero(rows & ~np.isnan(margin)))
+        assert (ext.slack, ext.graph6) == (float(least[0]), least[1]), name
+
+
 # --- run_conjectures ----------------------------------------------------------
 
 
@@ -250,8 +266,9 @@ def test_result_is_input_order_independent(monkeypatch):
 
 
 def test_each_graph_is_decoded_once(monkeypatch):
-    # reports and chunks read adjacency stacks: no bitset goes through the Python
-    # decode, except once for each equality hit's complete-bipartite check
+    # reports and chunks unpack their packed rows a group at a time: no graph goes
+    # through the one-graph decode, except once for each equality hit's
+    # complete-bipartite check
     decoded = []
     decode = graphs._decode
     monkeypatch.setattr(graphs, "_decode", lambda g: decoded.append((g.n, g.adj)) or decode(g))
@@ -437,7 +454,7 @@ def spectrum_rows(summary):
     (0.5, ["spectrum:energy"]),   # E above the sum of the |eigenvalues|
     (-0.5, ["spectrum:energy"]),  # and below it
 ])
-def test_gruss_violations_are_reported(monkeypatch, shift, names):
+def test_energy_row_violations_are_reported(monkeypatch, shift, names):
     """A shifted energy trips the energy row and no other spectrum row."""
     solve = harness.spectra_of_stacks
 

@@ -1,7 +1,11 @@
-"""README's library example runs, and its commented values are what it computes."""
+"""README's library example runs, its commented values are what it computes, and its
+list of checks is the one ``verify`` takes."""
 
 import re
 from pathlib import Path
+
+from geb.enumeration import enumerate_connected
+from geb.harness import run_verify
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +27,12 @@ def test_readme_library_example_runs_and_its_values_hold():
                           "report.cor_nice": 10.0, "report.slack_main": 1.0}
     for expr, value in documented.items():
         assert abs(eval(expr, namespace) - value) <= 1e-9, expr
+
+
+def test_readme_lists_every_check_verify_notes():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Each `VIOLATION` line of `verify` names one check.", 1)[1]
+    section = section.split("\nThe bound and invariant rows compare", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`:", section, re.M)
+    assert len(listed) == len(set(listed)) == 21
+    assert set(listed) == set(run_verify(enumerate_connected(5)).extremes)
