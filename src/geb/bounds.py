@@ -50,6 +50,9 @@ from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, determinant_exact,  # no
                        determinants_of_stacks, eigenvalues, sequential_sum, spectra_of_stacks,
                        spectral_columns, spectral_stats)
 
+DEFAULT_TOL = 1e-9  # how far below 0 a margin may fall before verify or conjectures flags it
+DEFAULT_EQUALITY_EPS = 1e-7  # equality's default tolerance on |E - bound|
+EQUALITY_BOUNDS = ("cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lower")
 
 Value = float | np.ndarray  # a scalar, or a column with one entry per graph
 

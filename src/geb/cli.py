@@ -12,38 +12,38 @@ generates the connected graphs on N vertices in-process. Exit codes:
 
 Environment: GEB_ZERO_TOL overrides the spectral zero threshold, GEB_TOL
 the soundness tolerance; explicit flags win over the environment.
+
+``report`` never loads ``harness`` or ``enumeration``: the names taken from
+them (``_LAZY``) are imported by the module ``__getattr__`` when a command
+first reads them through ``_lazy``, and are then module attributes like any
+other, so a patch of ``geb.cli.run_verify`` is what ``verify`` calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
 import re
 import sys
+from importlib import import_module
 from typing import Iterable, Iterator
 
-from .bounds import BoundReport, bound_report
-from .enumeration import MAX_ENUMERATION_N, enumerate_connected, enumerate_graphs
+from .bounds import DEFAULT_EQUALITY_EPS, DEFAULT_TOL, EQUALITY_BOUNDS, BoundReport, bound_report
 from .errors import GebError
-from .graphs import Graph, from_edge_list
+from .graphs import MAX_ENUMERATION_N, Graph, from_edge_list
 # stream_corpus is not called here; it stays importable from this module
 # because perfbench/tracing.py wraps it
 from .graph6 import parse_graph6, read_chunks, stream_corpus, write_graph6  # noqa: F401
-from .harness import (
-    DEFAULT_EQUALITY_EPS,
-    DEFAULT_TOL,
-    EQUALITY_BOUNDS,
-    CorpusSummary,
-    PackedCorpus,
-    run_conjectures,
-    run_equality,
-    run_verify,
-)
 from .spectral import DEFAULT_ZERO_TOL
+
+_LAZY = {  # name: the module it is imported from when a command first reads it
+    "CorpusSummary": "harness", "PackedCorpus": "harness", "run_conjectures": "harness",
+    "run_equality": "harness", "run_verify": "harness",
+    "enumerate_connected": "enumeration", "enumerate_graphs": "enumeration",
+}
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
@@ -53,6 +53,18 @@ EXIT_BROKEN_PIPE = 141
 
 class _UsageError(Exception):
     pass
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
+
+def _lazy(name: str):
+    """This module's attribute ``name``: a patched one, or else the one ``__getattr__`` loads."""
+    return getattr(sys.modules[__name__], name)
 
 
 def _number(text: str) -> float:
@@ -132,6 +144,8 @@ def _render_report(report: BoundReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(data, indent=2)
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(BoundReport.csv_header())
@@ -164,10 +178,10 @@ class _SkipCounter:
 
 def _corpus_source(args: argparse.Namespace, skips: _SkipCounter) -> list[Graph] | PackedCorpus:
     if args.enumerate is None:
-        return PackedCorpus(_corpus_chunks(args.corpus, skips if args.skip_bad else None))
+        return _lazy("PackedCorpus")(_corpus_chunks(args.corpus, skips if args.skip_bad else None))
     if not 1 <= args.enumerate <= MAX_ENUMERATION_N:
         raise _UsageError(f"--enumerate accepts 1..{MAX_ENUMERATION_N}")
-    return enumerate_connected(args.enumerate)
+    return _lazy("enumerate_connected")(args.enumerate)
 
 
 def _corpus_chunks(path: str, on_bad) -> Iterator[list[tuple]]:
@@ -198,10 +212,8 @@ def _print_violations(summary: CorpusSummary) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """verify or conjectures; the runner is looked up at call time."""
-    run, label = {
-        "verify": (run_verify, "violations"),
-        "conjectures": (run_conjectures, "counterexamples"),
-    }[args.command]
+    run = _lazy(f"run_{args.command}")
+    label = {"verify": "violations", "conjectures": "counterexamples"}[args.command]
     tol = _resolve(args.tol, "GEB_TOL", DEFAULT_TOL)
     zero_tol = _resolve(args.zero_tol, "GEB_ZERO_TOL", DEFAULT_ZERO_TOL)
     skips = _SkipCounter()
@@ -215,7 +227,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_equality(args: argparse.Namespace) -> int:
     zero_tol = _resolve(args.zero_tol, "GEB_ZERO_TOL", DEFAULT_ZERO_TOL)
     skips = _SkipCounter()
-    summary = run_equality(
+    summary = _lazy("run_equality")(
         _corpus_source(args, skips), bound=args.bound, eps=args.eps,
         zero_tol=zero_tol, jobs=args.jobs,
     )
@@ -232,7 +244,7 @@ def _cmd_equality(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    graphs = enumerate_graphs(args.n, connected=args.connected)
+    graphs = _lazy("enumerate_graphs")(args.n, connected=args.connected)
     with open(args.out, "w", encoding="ascii") as fh:
         for g in graphs:
             fh.write(write_graph6(g) + "\n")

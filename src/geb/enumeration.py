@@ -37,10 +37,10 @@ from itertools import compress
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import Graph, adjacency_stack, connected_column, msb_first, pair_count
+from .graphs import (MAX_ENUMERATION_N, Graph, adjacency_stack, connected_column, msb_first,
+                     pair_count)
 
 MAX_CANONICAL_N = 10
-MAX_ENUMERATION_N = 8
 
 _SLAB = 1000  # parents filtered, candidates canonicalized or classes tested per numpy step
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CycleTooShort, NTooLarge, SelfLoop, VertexOutOfRange
 
 MAX_VERTICES = 62
+MAX_ENUMERATION_N = 8  # geb.enumeration generates the graphs on at most this many vertices
 
 
 def pair_index(i: int, j: int) -> int:

@@ -27,16 +27,12 @@ import numpy as np
 
 # bound_report, eigenvalues_batch, energy_chain and spectral_stats are not called here;
 # they stay importable from this module because perfbench/tracing.py's sites patch them
-from .bounds import BoundTable, bound_report  # noqa: F401
+from .bounds import (DEFAULT_EQUALITY_EPS, DEFAULT_TOL, EQUALITY_BOUNDS, BoundTable,  # noqa: F401
+                     bound_report)
 from .graphs import Graph, is_complete_bipartite, packed_groups
 from .gruss import energy_chain  # noqa: F401
 from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
                        spectra_of_stacks, spectral_stats)
-
-DEFAULT_TOL = 1e-9
-DEFAULT_EQUALITY_EPS = 1e-7
-
-EQUALITY_BOUNDS = ("cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lower")
 
 _CHUNK_SIZE = 1024
 _SPECTRUM_TOL = 1e-6  # fixed: --tol moves no moment:* or spectrum:* row

@@ -449,3 +449,27 @@ def test_check_commands_call_the_runner_in_the_module(capsys, monkeypatch, comma
     assert code == EXIT_CLEAN
     assert calls == [6]
     assert "graphs seen: 6" in out
+
+
+def test_equality_calls_the_runner_in_the_module(capsys, monkeypatch):
+    calls = []
+
+    def fake(graphs, **kwargs):
+        calls.append((len(list(graphs)), kwargs["bound"]))
+        return CorpusSummary(graphs_seen=calls[-1][0])
+
+    monkeypatch.setattr(cli, "run_equality", fake)
+    code, out, _ = run(capsys, "equality", "--bound", "main", "--enumerate", "4")
+    assert code == EXIT_CLEAN
+    assert calls == [(6, "main")]
+    assert "graphs seen: 6" in out
+
+
+@pytest.mark.parametrize("command", [["verify"], ["conjectures"], ["equality", "--bound", "main"]])
+def test_enumerate_option_calls_the_generator_in_the_module(capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_connected", lambda n: calls.append(n) or [petersen()])
+    code, out, _ = run(capsys, *command, "--enumerate", "4")
+    assert code in (EXIT_CLEAN, EXIT_VIOLATIONS)
+    assert calls == [4]
+    assert "graphs seen: 1" in out

@@ -2,9 +2,11 @@
 
 Each case in ``CASES`` has one JSON file in ``data/cli_golden`` holding what
 ``main(argv)`` returned and printed. ``{data}`` in an argument stands for the
-``tests/data`` directory. A transcript changes only with an intended output
-change; ``python tests/test_cli_golden.py`` rewrites every transcript from the
-current code and rebuilds the seeded G(n, 1/2) corpus ``data/gnp_small.g6``.
+``tests/data`` directory. The ``help*`` cases pin the ``--help`` text of ``geb``
+and of each subcommand, wrapped at ``COLUMNS=80``. A transcript changes only
+with an intended output change; ``python tests/test_cli_golden.py`` rewrites
+every transcript from the current code and rebuilds the seeded G(n, 1/2)
+corpus ``data/gnp_small.g6``.
 """
 
 import contextlib
@@ -20,6 +22,7 @@ import pytest
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli_golden"
 ENV = ("GEB_TOL", "GEB_ZERO_TOL")
+COLUMNS = "80"  # argparse wraps help text to the terminal width
 
 GNP_SEED = 2014
 GNP_COUNTS = {10: 16, 20: 8, 40: 4}
@@ -49,6 +52,9 @@ CASES = {
     "report_n10_csv": ["report", "I?qa`xjHW", "--format", "csv"],
     "report_n10_table": ["report", "I?qa`xjHW", "--format", "table"],
     "report_single_vertex": ["report", "@"],
+    "help": ["--help"],
+    **{f"help_{command}": [command, "--help"]
+       for command in ("report", "verify", "conjectures", "equality", "enumerate")},
 }
 
 
@@ -57,7 +63,10 @@ def transcript(argv: list[str]) -> dict:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([a.replace("{data}", str(DATA)) for a in argv])
+        try:
+            code = main([a.replace("{data}", str(DATA)) for a in argv])
+        except SystemExit as exc:  # argparse exits after printing --help
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -69,6 +78,7 @@ def test_every_transcript_has_a_case():
 def test_cli_matches_golden_transcript(name, monkeypatch):
     for var in ENV:
         monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("COLUMNS", COLUMNS)
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert transcript(CASES[name]) == expected
 
@@ -86,6 +96,7 @@ def _write_gnp_corpus() -> None:
 def _regenerate() -> None:
     for var in ENV:
         os.environ.pop(var, None)
+    os.environ["COLUMNS"] = COLUMNS
     _write_gnp_corpus()
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():

@@ -478,7 +478,7 @@ def reference_energy_rows(spec):
 @pytest.mark.parametrize("shift", [-0.5, -1e-3, 0.0, 1e-3, 0.5])
 @pytest.mark.parametrize("g", [path(4), complete_bipartite(2, 3), petersen()],
                          ids=["path4", "K2,3", "petersen"])
-def test_gruss_rows_match_the_reference_chain(monkeypatch, g, shift):
+def test_energy_rows_match_the_reference_sum(monkeypatch, g, shift):
     """The energy row fires, with its values, exactly where a direct sum of the spectrum says."""
     spec = harness.eigenvalues_batch([g])[0]
     spec = Spectrum(spec.values, spec.energy + shift)
