@@ -178,7 +178,7 @@ class BoundReport:
     t: float
     t_nz: float | None
     rank: int
-    det_abs: int             # exact, from spectral.determinants_exact (float64 Bareiss, then primes)
+    det_abs: int             # exact: float64 Bareiss while provably exact, then primes
     mcclelland_lower: float
     caporossi: float
     main: float | None

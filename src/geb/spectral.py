@@ -18,14 +18,12 @@ started 16 bytes past a line. With every buffer 16, 32 or 48 bytes past a
 line, a verify, conjectures and equality pass over connected8 ran 12-16%
 slower there than on the line, most of it in the bisection.
 
-``determinants_of_stacks`` reads the same stacks. Its first 18 fraction-free
-elimination steps (Bareiss 1968) run once, in float64, where every value is
-a 0/1 minor small enough to be exact. From 20 vertices on, the trailing block
-is eliminated modulo one prime below 2**24 at a time, with as many primes as
-Hadamard's row-norm bound needs, joined by the Chinese remainder theorem (von
-zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 5). ``integer_rank``
-runs a division-free row echelon over Python ints; no command calls it, and
-tests check the float rank against it.
+``determinants_of_stacks`` reads the same stacks: fraction-free elimination
+(Bareiss 1968) in float64 while a bound on the entries proves each step
+exact, then modulo primes below 2**24, as few as the 0/1 determinant bound
+allows, joined by the Chinese remainder theorem (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 5). ``integer_rank``, a division-free row
+echelon over Python ints, is called by tests only, against the float rank.
 """
 
 from __future__ import annotations
@@ -64,10 +62,6 @@ class SpectralStats:
     t_nz: float | None       # min |eigenvalue| above zero_tol, None if rank 0
     rank: int                # count of |eigenvalue| > zero_tol
     zero_tol: float          # the threshold that decided rank, t and t_nz
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return adjacency_stack(g.n, [g.adj])[0].astype(float)
 
 
 def _pairwise_sum(x: np.ndarray) -> np.ndarray:
@@ -298,23 +292,20 @@ def spectral_stats(spec: Spectrum, zero_tol: float = DEFAULT_ZERO_TOL) -> Spectr
 # an update p_k * x - a * y stays below 8p**2 < 2**51: exact in float64.
 _PRIMES = (16777213, 16777199, 16777183, 16777153, 16777141, 16777139, 16777127, 16777121)
 
-# Bareiss steps run in float64 before any prime. After s steps every entry is
-# an (s + 1)-minor of a 0/1 matrix, at most M_(s+1), M_k = (k + 1)^((k + 1)/2) / 2^k,
-# so each numerator is below 2 M_18^2 < 2**46: exact, as is each quotient. The
-# 18th pivot, at most M_18 < 2**22.4, is below every prime: invertible mod each
-# unless 0. M_19 > 2**24 breaks that.
-_EXACT_STEPS = 18
+# Bareiss steps that run in float64 unchecked: after s steps every entry is a 0/1
+# (s + 1)-minor, at most M_(s+1) = (s + 2)^((s + 2)/2) / 2^(s+1) (Brenner & Cummings
+# 1972), so each numerator is below 2 M_18^2 < 2**46, each pivot below M_18 < 2**22.4.
+_UNCHECKED_STEPS = 18
 
 
 def _primes_for(sq_norms: np.ndarray) -> tuple[int, ...]:
-    """The fewest leading primes whose product exceeds 2 prod_i |row_i| for every matrix.
+    """The fewest leading primes whose product exceeds 2 min(prod_i |row_i|, M_n) for every matrix.
 
-    ``sq_norms`` holds the squared row norms (for 0/1 rows, the row sums) of b
-    matrices as an (n, b) array. By Hadamard's inequality |det| is at most the
-    product of the row norms, so the product of the primes pins a symmetric
-    residue to det. The factor 1 + 2^-40 covers the float product's rounding.
+    ``sq_norms`` holds the row sums (squared row norms) of b 0/1 matrices as an
+    (n, b) array; M_n holds for 0/1 matrices only. 1 + 2^-40 covers rounding.
     """
-    bound = 4 * np.prod(sq_norms, axis=0, dtype=float).max() * (1 + 2**-40)  # both sides squared
+    n, hadamard = len(sq_norms), np.prod(sq_norms, axis=0, dtype=float).max()
+    bound = 4 * min(hadamard, (n + 1) ** (n + 1) / 4**n) * (1 + 2**-40)  # both sides squared
     k = next(k for k in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > bound)
     return _PRIMES[:k]
 
@@ -331,16 +322,18 @@ def _swap_in_pivots(a: np.ndarray, nonzero: np.ndarray, sign: np.ndarray) -> Non
         sign[swap] = -sign[swap]
 
 
-def _bareiss_steps(stack: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``steps`` Bareiss steps on an (n, n, b) 0/1 stack, in float64.
+def _bareiss_steps(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bareiss steps on an (n, n, b) 0/1 stack in float64, while each is exact.
 
-    Step k swaps a nonzero pivot into row 0 of the trailing block and replaces
-    the rest, S with column c and row r, by (pivot S - c r^T) / previous pivot,
-    an exact integer (see ``_EXACT_STEPS``), in buffers laid out as in
-    ``_determinants_mod``. Returns the (m, m, b) block left, each matrix's
-    row-swap sign and its last pivot P: by Sylvester's identity
-    det(block) = sign * det * P^(m - 1). A zero pivot leaves a zero block
-    (det 0), and the next step divides by 1.
+    Step k swaps a nonzero pivot P into row 0 of the trailing block and replaces
+    the rest, S with column c and row r, by (P S - c r^T) / previous pivot, in
+    buffers laid out as in ``_determinants_mod``. After ``_UNCHECKED_STEPS`` a
+    step needs N = |P| B + max|c| max|r| < 2**52 on every matrix, B bounding
+    the entries (their largest |entry|, then N / |previous pivot|): then each
+    numerator and quotient (Sylvester) is an exact integer, with room for N's
+    rounding. Unless it leaves a 1 x 1 block, each |P| must also be below the
+    primes, to stay invertible. Returns the block left, each matrix's row-swap
+    sign and last pivot P: det(block) = sign * det * P^(m - 1), 0 after a zero pivot.
     """
     n, _, b = stack.shape
     first = _aligned_planes(1, (stack.size,))[0]
@@ -349,10 +342,18 @@ def _bareiss_steps(stack: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarra
     a[...] = stack
     sign = np.ones(b, dtype=np.int64)
     pivot = divisor = np.ones(b)
-    for k in range(steps):
+    for k in range(n - 1):
         _swap_in_pivots(a, a[:, 0] != 0.0, sign)
-        pivot = a[0, 0].copy()  # a's buffer is overwritten by the next step
         m = n - 1 - k
+        if k >= _UNCHECKED_STEPS:
+            if k == _UNCHECKED_STEPS:  # two reductions, no temporary of the block's size
+                bound = np.maximum(a.max(axis=(0, 1)), -a.min(axis=(0, 1)))
+            head = np.abs(a[0, 0])
+            numer = head * bound + np.abs(a[1:, 0]).max(axis=0) * np.abs(a[0, 1:]).max(axis=0)
+            if numer.max() >= 2.0**52 or (m > 1 and head.max() >= min(_PRIMES)):
+                break
+            bound = numer / np.abs(divisor)
+        pivot = a[0, 0].copy()  # a's buffer is overwritten by this step
         sub = (first if k % 2 else second)[: m * m * b].reshape(m, m, b)
         t = tmp[: m * m * b].reshape(m, m, b)
         np.multiply(a[1:, 1:], np.repeat(pivot[None], m, axis=0), out=sub)
@@ -370,7 +371,7 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
     Division-free elimination: row_i <- p_k row_i - a_ik row_k multiplies
     det by p_k once for each of the n - 1 - k rows below pivot k, so
     det = sign * prod p_k / prod p_k^(n-1-k) = sign * P_{n-1} / (P_0 ... P_{n-2})
-    with P_k = p_0 ... p_k. The entries (integers below 2**51 in absolute
+    with P_k = p_0 ... p_k. The entries (integers of at most 2**52 in absolute
     value), and each update, are reduced to x - p floor(x * (1/p)); that float
     quotient is off by less than 1, so the result lies in [-p, 2p). Step k
     writes the trailing block to a contiguous (m, m, b) buffer, two taking
@@ -419,13 +420,12 @@ def _determinants_mod(stack: np.ndarray, primes: Sequence[int]) -> Iterator[list
 def _stack_determinants(stack: np.ndarray) -> list[int]:
     """Exact determinants of an (n, n, b) 0/1 stack, batch last (a view will do).
 
-    Below 20 vertices the float64 Bareiss steps leave a 1 x 1 block, sign * det,
-    and no prime runs. From 20 on, the trailing (n - 18)^2 block is eliminated
-    modulo as many primes as Hadamard's bound on the original rows needs; each
-    residue is divided by the 18th pivot to the power n - 19 (Sylvester), and
-    the Chinese remainder theorem joins them into the symmetric residue.
+    Where ``_bareiss_steps`` reaches a 1 x 1 block, sign * det, no prime runs.
+    Otherwise the block left is eliminated modulo the primes ``_primes_for``
+    picks for the original rows; each residue is divided by the last pivot to
+    the power m - 1 (Sylvester), and the Chinese remainder theorem joins them.
     """
-    block, sign, pivot = _bareiss_steps(stack, min(len(stack) - 1, _EXACT_STEPS))
+    block, sign, pivot = _bareiss_steps(stack)
     m = len(block)
     if m == 1:
         return (sign * block[0, 0].astype(np.int64)).tolist()

@@ -36,12 +36,12 @@ from geb.graphs import (
     triangle_count,
 )
 from geb.spectral import (
-    _EXACT_STEPS,
     _PRIMES,
+    _UNCHECKED_STEPS,
     DEFAULT_ZERO_TOL,
     Spectrum,
+    _bareiss_steps,
     _primes_for,
-    adjacency_matrix,
     determinant_exact,
     determinants_exact,
     eigenvalues,
@@ -56,6 +56,11 @@ SQRT2 = math.sqrt(2.0)
 
 def close(a, b, tol=1e-9):
     return abs(a - b) <= tol
+
+
+def adjacency_matrix(g):
+    """g's (n, n) float64 0/1 matrix, for the numpy oracles."""
+    return adjacency_stack(g.n, [g.adj])[0].astype(float)
 
 
 # --- closed-form spectra ---------------------------------------------------
@@ -503,6 +508,22 @@ def test_complete_graph_determinants_in_one_batch():
     assert determinants_exact([complete(n) for n in sizes]) == [(-1) ** (n - 1) * (n - 1) for n in sizes]
 
 
+def paley(q):
+    """The Paley graph on the integers mod a prime q = 1 mod 4: i ~ j when j - i is a nonzero square."""
+    squares = {x * x % q for x in range(1, q)}
+    return from_edge_list(q, [(i, j) for i in range(q) for j in range(i + 1, q) if (j - i) % q in squares])
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41, 53, 61])
+def test_paley_graph_closed_forms(q):
+    # eigenvalues (q - 1)/2 once and (-1 +- sqrt q)/2, (q - 1)/2 times each, whose
+    # product is -(q - 1)/4; at q = 61 the determinant is 30 * 15**30, about 5.75e36
+    g = paley(q)
+    half = (q - 1) // 2
+    assert determinant_exact(g) == half * (-((q - 1) // 4)) ** half
+    assert close(eigenvalues(g).energy, (q - 1) * (1 + math.sqrt(q)) / 2)
+
+
 def singular_early(n, rng):
     """Singular graphs whose elimination can meet a zero pivot column within its float64 steps."""
     edges = [(i, j) for i in range(2, n) for j in range(i + 1, n) if rng.random() < 0.5]
@@ -532,15 +553,97 @@ def minor_bound_squared(k):
     return Fraction((k + 1) ** (k + 1), 4**k)
 
 
+def float_steps(graphs):
+    """How many Bareiss steps ``_bareiss_steps`` runs in float64 on same-size graphs, as one batch."""
+    n = graphs[0].n
+    block, _, _ = _bareiss_steps(adjacency_stack(n, [g.adj for g in graphs]).transpose(1, 2, 0))
+    return n - len(block)
+
+
 def test_exact_steps_stay_exact_and_below_every_prime():
     # step s's numerator, pivot S - c r, is a difference of products of s-minors
     assert all(minor_bound_squared(k) < minor_bound_squared(k + 1) for k in range(1, 62))
-    assert 2 * minor_bound_squared(_EXACT_STEPS) < 2**53
-    # the last pivot, a leading _EXACT_STEPS-minor, is invertible mod every prime
-    assert minor_bound_squared(_EXACT_STEPS) < min(_PRIMES) ** 2
-    # one step more could not promise that: 18 is the most that works
-    assert minor_bound_squared(_EXACT_STEPS + 1) >= min(_PRIMES) ** 2
-    assert _EXACT_STEPS == 18
+    assert 2 * minor_bound_squared(_UNCHECKED_STEPS) < 2**52
+    # the 18th pivot, a leading 18-minor, is invertible mod every prime
+    assert minor_bound_squared(_UNCHECKED_STEPS) < min(_PRIMES) ** 2
+    # one step more could not promise that: 18 is the most that runs unchecked
+    assert minor_bound_squared(_UNCHECKED_STEPS + 1) >= min(_PRIMES) ** 2
+    assert _UNCHECKED_STEPS == 18
+    # a 19th step that leaves a 1 x 1 block needs no prime, and its numerators,
+    # below 2 M_19^2, pass the check: every n <= 20 finishes in float
+    assert 2 * minor_bound_squared(19) < 2**52
+    rng = random.Random(18)
+    for n in range(1, 63):
+        graphs = [Graph(n, rng.getrandbits(pair_count(n)) & rng.getrandbits(pair_count(n))),
+                  Graph(n, rng.getrandbits(pair_count(n))), path(n)]
+        steps = float_steps(graphs)
+        assert steps == n - 1 if n <= 20 else steps >= 18
+        assert float_steps([complete(n)]) == n - 1
+    # a dense batch stops early, hands its block to the primes, and is exact
+    graphs = [Graph(62, rng.getrandbits(pair_count(62))) for _ in range(8)]
+    assert 18 <= float_steps(graphs) < 61
+    assert determinants_exact(graphs) == [bareiss_determinant(g) for g in graphs]
+
+
+def float_steps_by_the_rule(graphs):
+    """The float steps the exactness rule allows a batch, and the blocks they leave, over Python ints.
+
+    The rule of ``_bareiss_steps``, restated: the first ``_UNCHECKED_STEPS``
+    run unchecked; then B starts as the largest |entry|, each step needs
+    |P| B + max|c| max|r| < 2**52 and, unless it leaves a 1 x 1 block, |P| below
+    every prime, on every matrix, and B becomes that sum over |previous pivot|,
+    an exact Fraction here.
+    """
+    n = graphs[0].n
+    blocks = [[[int(g.has_edge(i, j)) for j in range(n)] for i in range(n)] for g in graphs]
+    previous, bound = [1] * len(graphs), None
+    for k in range(n - 1):
+        m = n - 1 - k
+        for a in blocks:
+            top = next((i for i, row in enumerate(a) if row[0]), 0)
+            a[0], a[top] = a[top], a[0]
+        if k >= _UNCHECKED_STEPS:
+            if bound is None:
+                bound = [max(abs(x) for row in a for x in row) for a in blocks]
+            sums = [abs(a[0][0]) * b + max(abs(row[0]) for row in a[1:]) * max(abs(x) for x in a[0][1:])
+                    for a, b in zip(blocks, bound)]
+            if max(sums) >= 2**52 or (m > 1 and max(abs(a[0][0]) for a in blocks) >= min(_PRIMES)):
+                return k, blocks
+            bound = [Fraction(x, abs(d)) for x, d in zip(sums, previous)]
+        for i, a in enumerate(blocks):
+            p = a[0][0]
+            blocks[i] = [[(p * row[j] - row[0] * a[0][j]) // previous[i] for j in range(1, m + 1)]
+                         for row in a[1:]]
+            previous[i] = p or 1
+    return n - 1, blocks
+
+
+def disjoint_copies(h, copies, n):
+    """``copies`` disjoint copies of h, then isolated vertices up to n."""
+    edges = [(c * h.n + i, c * h.n + j) for c in range(copies) for i, j in h.edges()]
+    return from_edge_list(n, edges)
+
+
+def test_float_steps_follow_the_exactness_rule():
+    # the batch runs exactly the steps the rule allows, and every entry it
+    # leaves for the primes is the exact Bareiss integer
+    rng = random.Random(52)
+    batches = [[Graph(62, sum(1 << i for i in range(pair_count(62)) if rng.random() < p)) for _ in range(2)]
+               for p in (0.1, 0.5, 0.9)]
+    batches += [[Graph(40, rng.getrandbits(pair_count(40))) for _ in range(3)], [paley(61)],
+                singular_early(40, rng)]
+    # six copies of a 10-vertex graph with |det| 16: its 60th pivot is 2**24,
+    # above every prime, while the numerators stay below 2**52
+    h = Graph(10, 33451426889741)
+    assert abs(determinant_exact(h)) == 16
+    batches.append([disjoint_copies(h, 6, 62)])
+    for graphs in batches:
+        n = graphs[0].n
+        block, _, _ = _bareiss_steps(adjacency_stack(n, [g.adj for g in graphs]).transpose(1, 2, 0))
+        steps, blocks = float_steps_by_the_rule(graphs)
+        assert n - len(block) == steps
+        assert block.transpose(2, 0, 1).astype(np.int64).tolist() == blocks
+    assert steps == 59
 
 
 def is_prime(p):
@@ -560,17 +663,18 @@ def test_primes_cover_the_hadamard_bound():
         x, y = rng.getrandbits(pair_count(n)), rng.getrandbits(pair_count(n))
         graphs = [Graph(n, x & y), Graph(n, x), Graph(n, x | y), complete(n)]
         for g in graphs:
-            # prod p > 2 prod sqrt(d_i), squared; one prime fewer would not do
-            # (a graph with an isolated vertex has bound 0 and needs no prime)
-            bound = 4 * math.prod(degrees([g]).ravel().tolist())
+            # prod p > 2 min(prod sqrt(d_i), M_n), squared; one prime fewer would
+            # not do (a graph with an isolated vertex has bound 0 and needs no prime)
+            bound = 4 * min(math.prod(degrees([g]).ravel().tolist()), minor_bound_squared(n))
             primes = _primes_for(degrees([g]))
             assert math.prod(primes) ** 2 > bound
             assert not primes or math.prod(primes[:-1]) ** 2 <= bound
-        # a group takes the primes of its worst matrix, K_n, whose bound is
-        # 2 (n-1)^(n/2) as when the count depended on n alone
-        by_n = next(k for k in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > 4 * (n - 1) ** n)
+        # a group takes the primes of its worst matrix, K_n
+        bound = 4 * min((n - 1) ** n, minor_bound_squared(n))
+        by_n = next(k for k in range(len(_PRIMES) + 1) if math.prod(_PRIMES[:k]) ** 2 > bound)
         assert _primes_for(degrees(graphs)) == _primes_for(degrees([complete(n)])) == _PRIMES[:by_n]
-    assert _primes_for(degrees([complete(62)])) == _PRIMES
+    dense = [Graph(62, rng.getrandbits(pair_count(62))) for _ in range(32)]
+    assert len(_primes_for(degrees([complete(62)]))) == len(_primes_for(degrees(dense))) == 6
 
 
 def test_kernels_peak_memory_at_62_vertices():
