@@ -14,8 +14,8 @@ Each name is imported from its module when it is first read (PEP 562), so
 ``import geb`` loads no submodule, and ``from geb import bound_report``
 loads ``bounds`` with what it imports: ``errors``, ``graphs``, ``graph6`` and
 ``spectral``. ``geb report`` loads those and ``cli``. The corpus commands
-also load ``harness`` (which loads ``gruss``), and ``--enumerate`` and
-``geb enumerate`` load ``enumeration``.
+also load ``harness``, and ``--enumerate`` and ``geb enumerate`` load
+``enumeration``; no command loads ``gruss``.
 """
 
 from importlib import import_module

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from functools import cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,8 +156,7 @@ def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     return regular, connected, walks3, walks4, root_sum
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound, slack, and applicability flag for a single graph.
 
     Fields that need an edge (or connectivity, for the conjectural pair)
@@ -202,11 +200,11 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         """Field-order-preserving plain dict (the CSV column order)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
     @classmethod
     def csv_header(cls) -> list[str]:
-        return [f.name for f in fields(cls)]
+        return list(cls._fields)
 
 
 def _where(rows: np.ndarray, bound: Callable[..., np.ndarray], *args: np.ndarray) -> np.ndarray:

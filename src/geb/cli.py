@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import re
@@ -142,6 +141,8 @@ def _format_value(value) -> str:
 def _render_report(report: BoundReport, fmt: str) -> str:
     data = report.to_dict()
     if fmt == "json":
+        import json
+
         return json.dumps(data, indent=2)
     if fmt == "csv":
         import csv

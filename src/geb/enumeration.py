@@ -19,34 +19,37 @@ Generation builds the classes on n vertices from those on n - 1 (McKay 1998,
 *J. Algorithms* 26): each representative gains one new vertex in every way,
 one candidate per neighbourhood of the new vertex (the empty one included),
 and the candidates are kept once per canonical form. Only a candidate whose
-new vertex has its largest degree is canonicalized: a neighbourhood H of a
-parent passes when |H| >= deg(u) + [u in H] for every parent vertex u. This
-is complete because deleting a vertex of largest degree from any graph
-leaves a graph isomorphic to some representative, and adding it back passes.
-The connected classes are the connected members of all classes. Each class
-is represented by its canonical labeling, and classes come in ascending
-order of the canonical bit string.
+new vertex is greatest by the key (degree, sum of its neighbours' degrees)
+is canonicalized. Two filters apply it: a neighbourhood H of a parent
+passes the first when |H| >= deg(u) + [u in H] for every parent vertex u,
+on the parents' degrees alone; the second, on each slab of candidate
+matrices, drops a candidate where a vertex of the same degree has a larger
+neighbour sum. This is complete because the key is an isomorphism
+invariant: deleting a vertex of greatest key from any graph leaves a graph
+isomorphic to some representative, and adding it back to that
+representative gives a candidate whose new vertex has the greatest key and
+so passes. The connected classes are the connected members of all classes.
+Each class is represented by its canonical labeling, and classes come in
+ascending order of the canonical bit string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NTooLargeForCanonicalization, NTooLargeForEnumeration
-from .graphs import (MAX_ENUMERATION_N, Graph, adjacency_stack, connected_column, msb_first,
-                     pair_count)
+from .graphs import MAX_ENUMERATION_N, Graph, adjacency_stack, connected_column, pair_count
 
 MAX_CANONICAL_N = 10
 
 _SLAB = 1000  # parents filtered, candidates canonicalized or classes tested per numpy step
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Isomorphism-class label: vertex count plus packed canonical bits.
 
     ``bits`` holds the upper triangle of the canonical adjacency matrix,
@@ -121,10 +124,18 @@ def _classes(n: int, connected: bool) -> tuple[Graph, ...]:
         stack = np.zeros((len(c), n, n), dtype=np.uint8)
         stack[:, :-1, :-1] = parents[c // len(hoods)]
         stack[:, -1, :-1] = stack[:, :-1, -1] = hoods[c % len(hoods)]
-        found.append(_canonical_bits(stack))
+        # of those, the ones whose new vertex is greatest by (degree, neighbours' degree sum)
+        child = stack.sum(axis=1, dtype=np.int16)
+        key = child * n * n + (stack @ child[:, :, None])[:, :, 0]  # the sum is below n * n
+        found.append(_canonical_bits(stack[key[:, -1] == key.max(axis=1)]))
     found = np.sort(np.concatenate(found))
     found = found[np.diff(found, prepend=-1) != 0]  # once per canonical form
-    return tuple(Graph(n, msb_first(n, best)) for best in found.tolist())
+    # pair p is bit C(n, 2) - 1 - p of a canonical string: shifted to the top, unpacked
+    # most-significant bit first and repacked little-endian, it lands at bit p
+    top = (found.astype(np.uint64) << np.uint64(64 - pair_count(n))).astype(">u8")
+    adj = np.packbits(np.unpackbits(top.view(np.uint8).reshape(-1, 8), axis=1), axis=1,
+                      bitorder="little").view("<u8").ravel()
+    return tuple(Graph(n, a) for a in adj.tolist())
 
 
 def enumerate_graphs(n: int, connected: bool = True) -> list[Graph]:

@@ -21,16 +21,15 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-# bound_report, eigenvalues_batch, energy_chain and spectral_stats are not called here;
-# they stay importable from this module because perfbench/tracing.py's sites patch them
+# bound_report, eigenvalues_batch and spectral_stats are not called here; they stay
+# importable from this module because perfbench/tracing.py's sites patch them
 from .bounds import (DEFAULT_EQUALITY_EPS, DEFAULT_TOL, EQUALITY_BOUNDS, BoundTable,  # noqa: F401
                      bound_report)
 from .graphs import Graph, is_complete_bipartite, packed_groups
-from .gruss import energy_chain  # noqa: F401
 from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
                        spectra_of_stacks, spectral_stats)
 
@@ -39,8 +38,18 @@ _SPECTRUM_TOL = 1e-6  # fixed: --tol moves no moment:* or spectrum:* row
 _PERRON_SLACK = 1e-12  # how far an |eigenvalue| may pass lambda1 by rounding
 
 
-@dataclass(frozen=True)
-class Violation:
+def __getattr__(name: str):
+    """``energy_chain``, which no command calls, loads ``gruss`` only when read: the
+    tracer's gruss.energy_chain site reads and patches it here."""
+    if name != "energy_chain":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .gruss import energy_chain
+
+    globals()[name] = energy_chain
+    return energy_chain
+
+
+class Violation(NamedTuple):
     graph6: str
     bound_name: str
     bound_value: float
@@ -48,22 +57,19 @@ class Violation:
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class EqualityHit:
+class EqualityHit(NamedTuple):
     graph6: str
     bound_name: str
     slack: float
     is_complete_bipartite: bool
 
 
-@dataclass(frozen=True)
-class Extreme:
+class Extreme(NamedTuple):
     graph6: str
     slack: float
 
 
-@dataclass(frozen=True)
-class PackedCorpus:
+class PackedCorpus(NamedTuple):
     """A corpus that comes in chunks already: lists of (n, packed rows) groups."""
 
     chunks: Iterable[list[tuple[int, np.ndarray]]]

@@ -29,8 +29,7 @@ echelon over Python ints, is called by tests only, against the float rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +39,7 @@ DEFAULT_ZERO_TOL = 1e-8
 _COUNT = np.min_scalar_type(MAX_VERTICES)  # the bisection's Sturm counts, 0..n
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """All adjacency eigenvalues, sorted descending, plus their energy."""
 
     values: tuple[float, ...]
@@ -52,8 +50,7 @@ class Spectrum:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class SpectralStats:
+class SpectralStats(NamedTuple):
     """The scalars every bound and the Grüss chain read, derived once per Spectrum."""
 
     energy: float            # the Spectrum's energy

@@ -29,6 +29,7 @@ from geb.graphs import (
     cycle,
     from_edge_list,
     is_connected,
+    msb_first,
     pair_count,
     pairs_in_order,
     path,
@@ -106,9 +107,10 @@ def test_connected_recursion_matches_filtered_full_recursion(n):
     assert enumerate_graphs(n, connected=True) == oracle
 
 
-def test_only_extensions_by_a_largest_degree_vertex_are_canonicalized(monkeypatch):
+def test_only_extensions_by_a_greatest_vertex_are_canonicalized(monkeypatch):
     # 156 classes on 6 vertices times 2**6 neighbourhoods give 9984 pairs; in
-    # 2690 of them the new vertex has the child's largest degree
+    # 2690 of them the new vertex has the child's largest degree, and in 2106
+    # it also has the largest sum of neighbours' degrees among those vertices
     sizes = []
 
     def counting(stack):
@@ -122,7 +124,31 @@ def test_only_extensions_by_a_largest_degree_vertex_are_canonicalized(monkeypatc
     finally:
         enumeration._classes.cache_clear()
     assert len(enumerate_graphs(6, connected=False)) << 6 == 9984
-    assert sum(count for count, n in sizes if n == 7) == 2690
+    assert sum(count for count, n in sizes if n == 7) == 2106
+
+
+@lru_cache(maxsize=None)
+def degree_filtered_classes(n):
+    """The canonical strings of every class on n vertices, ascending, by the recursion
+    that canonicalizes each extension whose new vertex has the child's largest degree."""
+    if n == 1:
+        return (0,)
+    parents = adjacency_stack(n - 1, [msb_first(n - 1, s) for s in degree_filtered_classes(n - 1)])
+    hoods = (np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1).astype(np.uint8)
+    stack = np.zeros((len(parents), len(hoods), n, n), dtype=np.uint8)
+    stack[:, :, :-1, :-1] = parents[:, None]
+    stack[:, :, -1, :-1] = stack[:, :, :-1, -1] = hoods
+    stack = stack.reshape(-1, n, n)
+    degree = stack.sum(axis=2)
+    return tuple(sorted(set(_canonical_bits(stack[degree[:, -1] == degree.max(axis=1)]).tolist())))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_sum_of_neighbour_degrees_filter_loses_no_class(n):
+    # deleting a vertex that is greatest by (degree, neighbours' degree sum), an
+    # isomorphism invariant, leaves some class, and adding it back passes the filter
+    assert ([msb_first(n, g.adj) for g in enumerate_graphs(n, connected=False)]
+            == list(degree_filtered_classes(n)))
 
 
 def test_cold_enumeration_runs_in_bounded_memory():

@@ -21,7 +21,21 @@ import geb.cli
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 REPORT = ["bounds", "cli", "errors", "graph6", "graphs", "spectral"]
-CORPUS = REPORT + ["gruss", "harness"]  # gruss comes only through harness's tracer imports
+CORPUS = REPORT + ["harness"]
+# what ``geb.cli.main(sys.argv[1:])`` loaded: the geb modules, which of csv and json,
+# and the dataclasses that those geb modules define
+PROBE = """
+import sys
+from geb.cli import main
+main(sys.argv[1:])
+optional = [name for name in ("csv", "json") if name in sys.modules]
+import dataclasses, json
+geb = sorted(name for name in sys.modules if name.startswith("geb."))
+print(json.dumps([[name[4:] for name in geb], optional, sorted(
+    cls.__name__ for name in geb for cls in vars(sys.modules[name]).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == name)]),
+    file=sys.stderr)
+"""
 
 
 def fresh(*args: str) -> subprocess.CompletedProcess:
@@ -33,13 +47,11 @@ def fresh(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def loaded_by_command(*argv: str) -> tuple[str, list[str], bool]:
-    """stdout of ``geb.cli.main(argv)``, the geb modules then loaded, and whether csv is."""
-    proc = fresh("-c", "import json, sys; from geb.cli import main; main(sys.argv[1:]); "
-                 "print(json.dumps([sorted(m[4:] for m in sys.modules if m.startswith('geb.')), "
-                 "'csv' in sys.modules]), file=sys.stderr)", *argv)
-    modules, csv_loaded = json.loads(proc.stderr.splitlines()[-1])
-    return proc.stdout, modules, csv_loaded
+def loaded_by_command(*argv: str) -> tuple[str, list[str], list[str], list[str]]:
+    """stdout of ``geb.cli.main(argv)``, then the geb modules, which of csv and json
+    are loaded, and the dataclasses of those geb modules."""
+    proc = fresh("-c", PROBE, *argv)
+    return proc.stdout, *json.loads(proc.stderr.splitlines()[-1])
 
 
 def test_import_geb_loads_no_submodule():
@@ -50,17 +62,25 @@ def test_import_geb_loads_no_submodule():
 
 
 def test_report_loads_only_the_report_modules():
-    out, modules, csv_loaded = loaded_by_command("report", "Bw")
+    out, modules, optional, dataclasses = loaded_by_command("report", "Bw")
     assert json.loads(out)["energy"] == pytest.approx(4.0)
     assert modules == REPORT
-    assert not csv_loaded
+    assert optional == ["json"]
+    assert dataclasses == ["Graph"]
 
 
 def test_report_csv_loads_csv():
-    out, modules, csv_loaded = loaded_by_command("report", "Bw", "--format", "csv")
+    out, modules, optional, _ = loaded_by_command("report", "Bw", "--format", "csv")
     assert out.splitlines()[0].startswith("graph6,n,m,")
     assert modules == REPORT
-    assert csv_loaded
+    assert optional == ["csv"]
+
+
+def test_report_table_loads_neither_csv_nor_json():
+    out, modules, optional, _ = loaded_by_command("report", "Bw", "--format", "table")
+    assert out.splitlines()[0].split() == ["graph6", "Bw"]
+    assert modules == REPORT
+    assert optional == []
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -70,10 +90,11 @@ def test_report_csv_loads_csv():
     (["verify", "--corpus", str(DATA / "gnp_small.g6")], CORPUS),
 ])
 def test_corpus_commands_load_the_harness(argv, expected):
-    out, modules, csv_loaded = loaded_by_command(*argv)
+    out, modules, optional, dataclasses = loaded_by_command(*argv)
     assert "graphs seen:" in out
     assert modules == sorted(expected)
-    assert not csv_loaded
+    assert optional == []
+    assert dataclasses == ["CorpusSummary", "Graph"]
 
 
 def test_every_public_name_is_its_modules_own_object():

@@ -6,6 +6,7 @@ never calls it.
 
 import ast
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from conftest import random_graphs
 import geb.spectral
-from geb.enumeration import enumerate_connected, enumerate_graphs
+from geb.bounds import BoundReport, bound_report
+from geb.enumeration import CanonicalForm, canonical_form, enumerate_connected, enumerate_graphs
 from geb.graph6 import parse_graph6
 from geb.graphs import (
     MAX_VERTICES,
@@ -35,10 +37,12 @@ from geb.graphs import (
     stacks_by_n,
     triangle_count,
 )
+from geb.harness import EqualityHit, Extreme, PackedCorpus, Violation
 from geb.spectral import (
     _PRIMES,
     _UNCHECKED_STEPS,
     DEFAULT_ZERO_TOL,
+    SpectralStats,
     Spectrum,
     _bareiss_steps,
     _primes_for,
@@ -793,11 +797,26 @@ def test_integer_rank_agrees_with_float_rank_on_corpus():
         assert spectral_stats(spec).rank == integer_rank(g)
 
 
-def test_spectrum_is_frozen():
-    spec = eigenvalues(complete(2))
+@pytest.mark.parametrize("cls, make", [
+    pytest.param(Spectrum, lambda: eigenvalues(complete(2)), id="Spectrum"),
+    pytest.param(SpectralStats, lambda: spectral_stats(eigenvalues(path(3))), id="SpectralStats"),
+    pytest.param(BoundReport, lambda: bound_report(cycle(5)), id="BoundReport"),
+    pytest.param(Violation, lambda: Violation("Bw", "main", 2.5, 2.0, "detail"), id="Violation"),
+    pytest.param(EqualityHit, lambda: EqualityHit("Bw", "main", 0.0, True), id="EqualityHit"),
+    pytest.param(Extreme, lambda: Extreme("Bw", -1e-15), id="Extreme"),
+    pytest.param(PackedCorpus, lambda: PackedCorpus(()), id="PackedCorpus"),
+    pytest.param(CanonicalForm, lambda: canonical_form(cycle(4)), id="CanonicalForm"),
+])
+def test_records_are_frozen_hashable_and_picklable(cls, make):
+    # a --jobs worker sends Violations, EqualityHits and Extremes back inside a CorpusSummary
+    record = make()
+    assert type(record) is cls
     with pytest.raises(AttributeError):
-        spec.energy = 0.0
-    assert isinstance(spec, Spectrum)
+        setattr(record, cls._fields[0], None)
+    twin = cls(*record)
+    assert twin == record and hash(twin) == hash(record)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is cls and back == record
 
 
 # --- numpy.linalg stays an oracle ------------------------------------------
