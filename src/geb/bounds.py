@@ -15,17 +15,21 @@ nonzero absolute eigenvalue t_nz:
 and upper bounds sqrt(2mn) (``mcclelland_upper``) and 2m / sqrt(lambda1)
 (``conj2_upper``, conjectural, connected only).
 
-``BoundTable`` evaluates everything on a chunk of packed rows (see
-``graphs``) at once, one numpy column per ``BoundReport`` field, with the
-slack E - bound (bound - E for uppers). One adjacency stack per vertex count
-feeds the solve, the exact determinants and the structure columns
-(connectivity, triangles, epsilon, the conjectures); the last two are built
-when first read, so a command pays only for what it reads. The bound
-functions take scalars and columns alike. Only ``mcclelland_lower`` runs in
-``math``, once per distinct (n, m, |det|) of a chunk: numpy's exp and log
-may differ from it in the last bit. Sums add left to right, so every column
-equals the per-graph arithmetic bit for bit. ``bound_report`` is row 0 of a
-one-graph table.
+``BOUNDS`` holds one row per bound. A bound's column, its slack E - bound
+(bound - E for an upper bound), where its ``BoundReport`` fields are None
+and its check in ``harness`` all follow from its row, so a new bound is one
+row, two ``BoundReport`` fields and a README line.
+
+``BoundTable`` evaluates a chunk of packed rows (see ``graphs``) at once,
+one numpy column per ``BoundReport`` field. One adjacency stack per vertex
+count feeds the solve, the exact determinants and the structure columns
+(connectivity, triangles, epsilon). Those groups, the spectrum's sums and
+each bound are built when first read, so a command pays only for what it
+reads. The bound functions take scalars and columns alike. Only
+``mcclelland_lower`` runs in ``math``, once per distinct (n, m, |det|) of a
+chunk: numpy's exp and log may differ from it in the last bit. Sums add
+left to right, so every column equals the per-graph arithmetic bit for
+bit. ``bound_report`` is row 0 of a one-graph table.
 """
 
 from __future__ import annotations
@@ -142,6 +146,32 @@ def conj2_upper(m: Value, lambda1: Value) -> Value:
     return 2.0 * m / np.sqrt(lambda1)
 
 
+def _mcclelland_column(n: np.ndarray, m: np.ndarray, det_abs: np.ndarray) -> np.ndarray:
+    """mcclelland_lower once per distinct (n, m, |det|) row; |det| holds Python ints."""
+    rows = list(zip(n.tolist(), m.tolist(), det_abs))
+    memo = {row: mcclelland_lower(*row) for row in dict.fromkeys(rows)}
+    return np.array([memo[row] for row in rows])
+
+
+# One row per bound: (name, lower, proven, gate, function, columns). The function reads the
+# named columns on the graphs where the bool column ``gate`` holds: ``every`` graph, the
+# ``edged`` ones (m >= 1), those also ``ranked`` (rank >= 1), or also connected.
+BOUNDS = (
+    ("mcclelland_lower", True, True, "every", _mcclelland_column, ("n", "m", "det_abs")),
+    ("caporossi", True, True, "every", caporossi_lower, ("m",)),
+    ("main", True, True, "edged", main_lower, ("n", "m", "lambda1", "t")),
+    ("cor_nice", True, True, "edged", cor_nice_lower, ("m", "lambda1")),
+    ("amgm", True, True, "edged", amgm_lower, ("n", "m", "lambda1", "t")),
+    ("rank_bound", True, True, "edged_ranked", rank_lower, ("m", "rank", "lambda1", "t_nz")),
+    ("mcclelland_upper", False, True, "every", mcclelland_upper, ("n", "m")),
+    ("conj1", True, False, "edged_connected", conj1_lower, ("n", "epsilon")),
+    ("conj2", False, False, "edged_connected", conj2_upper, ("m", "lambda1")),
+)
+# each BoundReport field that some graphs may leave None, and every bound's, to its gate column
+GATES = {"t_nz": "ranked", "epsilon": "edged", "beta": "edged"} | {
+    field: gate for name, _, _, gate, _, _ in BOUNDS for field in (name, "slack_" + name)}
+
+
 def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per graph of a (b, n, n) 0/1 stack: regular, connected, closed 3- and 4-walks, root sum.
 
@@ -214,68 +244,62 @@ def _where(rows: np.ndarray, bound: Callable[..., np.ndarray], *args: np.ndarray
     return out
 
 
-def _determinant_columns(stacks: list, n: np.ndarray, m: np.ndarray, energy: np.ndarray,
-                         determinants: Callable) -> dict[str, np.ndarray]:
-    """|det A| as Python ints (it may pass 2**63), McClelland's bound once per (n, m, |det|)."""
-    det_abs = np.array([abs(d) for d in determinants(stacks, len(n))], dtype=object)
-    rows = list(zip(n.tolist(), m.tolist(), det_abs))
-    memo = {row: mcclelland_lower(*row) for row in dict.fromkeys(rows)}
-    lower = np.array([memo[row] for row in rows])
-    return {"det_abs": det_abs, "mcclelland_lower": lower, "slack_mcclelland_lower": energy - lower}
+def _bound_columns(row: tuple, c: dict) -> dict[str, np.ndarray]:
+    """A ``BOUNDS`` row's bound, nan where its gate fails, and its slack."""
+    name, lower, _, gate, function, columns = row
+    bound = _where(c[gate], function, *(c[key] for key in columns))
+    return {name: bound, "slack_" + name: c["energy"] - bound if lower else bound - c["energy"]}
 
 
-def _structure_columns(stacks: list, bits: list, n: np.ndarray, m: np.ndarray,
-                       energy: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
-    """``_structure`` per vertex count, and what needs it: epsilon and the conjectures."""
-    regular, connected = np.empty(len(n), bool), np.empty(len(n), bool)
-    walks3, walks4, root_sum = np.empty(len(n)), np.empty(len(n)), np.empty(len(n))
+def _determinant_columns(stacks: list, determinants: Callable, c: dict) -> dict[str, np.ndarray]:
+    """|det A| as Python ints: it may pass 2**63."""
+    return {"det_abs": np.array([abs(d) for d in determinants(stacks, len(c["n"]))], dtype=object)}
+
+
+def _structure_columns(stacks: list, bits: list, c: dict) -> dict[str, np.ndarray]:
+    """``_structure`` per vertex count, and what needs it: epsilon and ``edged_connected``."""
+    b = len(c["n"])
+    regular, connected = np.empty(b, bool), np.empty(b, bool)
+    walks3, walks4, root_sum = np.empty(b), np.empty(b), np.empty(b)
     for (rows, stack), group_bits in zip(stacks, bits):
         (regular[rows], connected[rows], walks3[rows], walks4[rows],
          root_sum[rows]) = _structure(stack, group_bits)
-    edged = m >= 1
-    epsilon = _where(edged, _epsilon, n, m, root_sum)
-    conj1 = _where(edged & connected, conj1_lower, n, epsilon)
-    conj2 = _where(edged & connected, conj2_upper, m, lam)
     return {"is_connected": connected, "is_regular": regular, "is_triangle_free": walks3 == 0,
-            "walks3": walks3, "walks4": walks4, "epsilon": epsilon, "conj1": conj1, "conj2": conj2,
-            "slack_conj1": energy - conj1, "slack_conj2": conj2 - energy}
+            "walks3": walks3, "walks4": walks4, "edged_connected": c["edged"] & connected,
+            "epsilon": _where(c["edged"], _epsilon, c["n"], c["m"], root_sum)}
 
 
-def _spectrum_columns(values: np.ndarray, rank: np.ndarray) -> dict[str, np.ndarray]:
+def _spectrum_columns(values: np.ndarray, c: dict) -> dict[str, np.ndarray]:
     """What the spectrum checks add up: the power sums sum(lambda^k), k = 1..4, the
     |eigenvalues| largest first and the largest, and the squares of those past the rank."""
     mags = -np.sort(-np.abs(values), axis=1)
     squares = values * values
-    dropped = np.where(np.arange(mags.shape[1]) >= rank[:, None], mags * mags, 0.0)
+    dropped = np.where(np.arange(mags.shape[1]) >= c["rank"][:, None], mags * mags, 0.0)
     return {"moment1": sequential_sum(values), "moment2": sequential_sum(squares),
             "moment3": sequential_sum(squares * values),
             "moment4": sequential_sum(squares * squares), "abs_sum": sequential_sum(mags),
             "abs_max": mags[:, 0], "dropped_squares": sequential_sum(dropped)}
 
 
-_DETERMINANT = ("det_abs", "mcclelland_lower", "slack_mcclelland_lower")
-_STRUCTURE = ("is_connected", "is_regular", "is_triangle_free", "walks3", "walks4", "epsilon",
-              "conj1", "conj2", "slack_conj1", "slack_conj2")
+_STRUCTURE = ("is_connected", "is_regular", "is_triangle_free", "walks3", "walks4",
+              "edged_connected", "epsilon")
 _SPECTRUM = ("moment1", "moment2", "moment3", "moment4", "abs_sum", "abs_max", "dropped_squares")
 
 
 class _OnDemand(dict):
     """A dict that builds a missing key's group on first read and keeps it.
 
-    ``groups`` maps each deferred key to a function returning its group's
-    entries, the key's among them. ``get`` builds too.
+    ``groups`` maps each deferred key to a function that takes this dict and
+    returns its group's entries, the key's among them.
     """
 
-    def __init__(self, groups: dict[str, Callable[[], dict]], entries: dict):
+    def __init__(self, groups: dict[str, Callable[[dict], dict]], entries: dict):
         super().__init__(entries)
         self._groups = groups
 
     def __missing__(self, key: str):
-        self.update(self._groups[key]())
+        self.update(self._groups[key](self))
         return self[key]
-
-    def get(self, key: str, default=None):
-        return self[key] if key in self or key in self._groups else default
 
 
 class BoundTable:
@@ -285,17 +309,16 @@ class BoundTable:
     m, its adjacency stack and the root sum read them. ``column[field]`` holds
     the field per graph, group after group, and ``column["walksK"]`` tr A^K
     for K = 2, 3, 4, which the spectrum checks compare with the power sums of
-    ``_spectrum_columns``. ``applies[name]`` marks the graphs where a bound
-    (and its slack), t_nz, epsilon or beta is set; elsewhere the column holds
-    nan and a BoundReport None. ``values`` holds the spectra from
-    ``solve(stacks, b)``, one per row, zero-padded to the longest. ``graph(i)``
-    and ``graph6(i)`` build row i's Graph and graph6 once, when asked, and
-    ``graph6_order()`` each row's place in graph6 order, with no encoding.
+    ``_spectrum_columns``. Gates are bool columns: where ``column[GATES[f]]``
+    fails, field f holds nan, and a BoundReport None. ``values`` holds the
+    spectra from ``solve(stacks, b)``, one per row, zero-padded to the
+    longest. ``graph(i)`` and ``graph6(i)`` build row i's Graph and graph6
+    once, when asked, and ``graph6_order()`` each row's place in graph6
+    order, with no encoding.
 
-    Three column groups are built when one of their columns is first read:
-    ``determinants(stacks, b)``, called once at most, and McClelland's lower
-    bound; ``_structure`` and what needs connectivity or the root sum; the
-    spectrum's sums. Everything else is built here.
+    Built when first read: ``determinants(stacks, b)``, called once at most;
+    ``_structure``, with epsilon and ``edged_connected``; the spectrum's sums;
+    and each ``BOUNDS`` row's bound and slack. The rest is built here.
     """
 
     def __init__(self, chunk: Sequence[tuple[int, np.ndarray]],
@@ -312,36 +335,18 @@ class BoundTable:
                   for (size, _), start, rows in zip(chunk, starts, bits)]
         self.values, energy = solve(stacks, len(n))
         col = spectral_columns(self.values, energy, n, zero_tol)
-        lam, t, t_nz, rank = (col[k] for k in ("lambda1", "t", "t_nz", "rank"))
-        edged = m >= 1
-        applies = dict.fromkeys(("mcclelland_lower", "caporossi", "mcclelland_upper"),
-                                np.ones(len(n), bool))
-        applies.update(t_nz=rank >= 1, main=edged, cor_nice=edged, amgm=edged,
-                       rank_bound=edged & (rank >= 1), epsilon=edged, beta=edged)
-        lower = {
-            "caporossi": caporossi_lower(m),
-            "main": _where(edged, main_lower, n, m, lam, t),
-            "cor_nice": _where(edged, cor_nice_lower, m, lam),
-            "amgm": _where(edged, amgm_lower, n, m, lam, t),
-            "rank_bound": _where(applies["rank_bound"], rank_lower, m, rank, lam, t_nz),
-        }
-        upper = mcclelland_upper(n, m)
-        eager = col | lower | {"slack_" + name: energy - bound for name, bound in lower.items()}
-        eager.update(n=n, m=m, walks2=2.0 * m, mcclelland_upper=upper,
-                     slack_mcclelland_upper=upper - energy, beta=_where(edged, _beta, n, m, lam))
-        # the group builders hold arrays, not the table: no reference cycle
-        # keeps a finished chunk's table alive until the next full collection
-        dets = partial(_determinant_columns, stacks, n, m, energy, determinants)
-        structure = partial(_structure_columns, stacks, bits, n, m, energy, lam)
-        spectrum = partial(_spectrum_columns, self.values, rank)
-        self.column = column = _OnDemand(
-            dict.fromkeys(_DETERMINANT, dets) | dict.fromkeys(_STRUCTURE, structure)
-            | dict.fromkeys(_SPECTRUM, spectrum), eager)
-        conjectures = ("conj1", "conj2")  # on connected graphs with an edge
-        self.applies = _OnDemand(
-            dict.fromkeys(conjectures,
-                          lambda: dict.fromkeys(conjectures, edged & column["is_connected"])),
-            applies)
+        edged, ranked = m >= 1, col["rank"] >= 1
+        eager = col | {"n": n, "m": m, "walks2": 2.0 * m, "every": np.ones(len(n), bool),
+                       "edged": edged, "ranked": ranked, "edged_ranked": edged & ranked,
+                       "beta": _where(edged, _beta, n, m, col["lambda1"])}
+        # the builders are handed the columns and hold arrays, not the table: no reference
+        # cycle keeps a finished chunk's table alive until the next full collection
+        groups = {"det_abs": partial(_determinant_columns, stacks, determinants)}
+        groups |= dict.fromkeys(_STRUCTURE, partial(_structure_columns, stacks, bits))
+        groups |= dict.fromkeys(_SPECTRUM, partial(_spectrum_columns, self.values))
+        groups |= {field: partial(_bound_columns, row)
+                   for row in BOUNDS for field in (row[0], "slack_" + row[0])}
+        self.column = _OnDemand(groups, eager)
 
         def graph(i: int) -> Graph:
             k = bisect_right(starts, i) - 1
@@ -362,11 +367,9 @@ class BoundTable:
 
     def report(self, i: int) -> BoundReport:
         """Row i as a BoundReport of Python scalars."""
-        row: dict = {"graph6": self.graph6(i)}
+        c, row = self.column, {"graph6": self.graph6(i)}
         for name in BoundReport.csv_header()[1:]:
-            rows = self.applies.get(name.removeprefix("slack_"))
-            set_here = rows is None or rows[i]
-            row[name] = self.column[name][i : i + 1].tolist()[0] if set_here else None
+            row[name] = c[name][i : i + 1].tolist()[0] if c[GATES.get(name, "every")][i] else None
         return BoundReport(**row)
 
 

@@ -5,13 +5,13 @@ CorpusSummary. A chunk is a list of (n, packed rows) groups (see ``graphs``):
 one graph6 block of a ``PackedCorpus``, or 1024 Graphs through
 ``graphs.packed_groups``. It travels as it is, in this process or to a
 worker, and becomes one ``bounds.BoundTable``. Every verdict is a row of
-one table, ``_CHECKS``: the bounds, the conjectures, the cross-bound
-invariants and the spectrum rows. One fold, ``_judge``, takes each row
-column-wise: violations are a mask, and the least margin is an argmin with
-exact ties going to the smaller graph6. Only the rows a verdict names become
-Graphs, for their graph6 and the complete-bipartite test. The merge is
-commutative and the final lists are sorted, so the outcome is identical for
-any worker count and any chunk order.
+one table, ``_CHECKS``: one per row of ``bounds.BOUNDS`` (the bounds and
+the conjectures), the cross-bound invariants and the spectrum rows. One
+fold, ``_judge``, takes each row column-wise: violations are a mask, and the
+least margin is an argmin with exact ties going to the smaller graph6. Only
+the rows a verdict names become Graphs, for their graph6 and the
+complete-bipartite test. The merge is commutative and the final lists are
+sorted, so the outcome is identical for any worker count and any chunk order.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 # bound_report, eigenvalues_batch and spectral_stats are not called here; they stay
 # importable from this module because perfbench/tracing.py's sites patch them
-from .bounds import (DEFAULT_EQUALITY_EPS, DEFAULT_TOL, EQUALITY_BOUNDS, BoundTable,  # noqa: F401
-                     bound_report)
+from .bounds import (BOUNDS, DEFAULT_EQUALITY_EPS, DEFAULT_TOL, EQUALITY_BOUNDS,  # noqa: F401
+                     GATES, BoundTable, bound_report)
 from .graphs import Graph, is_complete_bipartite, packed_groups
 from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
                        spectra_of_stacks, spectral_stats)
@@ -108,27 +108,27 @@ def _spectrum(table: BoundTable, i: int) -> str:
     return "spectrum=[" + ", ".join(f"{v:.12g}" for v in values) + "]"
 
 
-# Every check: (name, rows, a, relation, b, tol, detail). a relation b must hold within
-# tol (None: the command's) where every ``applies`` mask or bool column named in rows
-# holds; a and b name columns or are numbers. The margin is a - b (>=), b - a (<=) or
-# -|a - b| (==): a bound's slack. detail is a string, a function of (table, row), or None.
-# The spectrum rows hold for any spectrum, so a residual means a wrong one.
+# Every check: (name, gates, a, relation, b, tol, detail). a relation b must hold within
+# tol (None: the command's) where every bool column named in gates holds; a and b name
+# columns or are numbers. The margin is a - b (>=), b - a (<=) or -|a - b| (==): a bound's
+# slack. detail is a string, a function of (table, row), or None. The spectrum rows hold
+# for any spectrum, so a residual means a wrong one.
 _CHECKS = {check[0]: check for check in (
-    *((name, (name,), name, "<=", "energy", None, None) for name in
-      ("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound")),
-    ("mcclelland_upper", ("mcclelland_upper",), "mcclelland_upper", ">=", "energy", None, None),
-    ("chain:main_ge_cor_nice", ("main",), "main", ">=", "cor_nice", None,
+    # each bound's: E lies on its side where its gate holds; a conjecture's shows the spectrum
+    *((name, (gate,), name, "<=" if lower else ">=", "energy", None, None if proven else _spectrum)
+      for name, lower, proven, gate, _, _ in BOUNDS),
+    ("chain:main_ge_cor_nice", ("edged",), "main", ">=", "cor_nice", None,
      "main fell below cor_nice"),
-    ("chain:amgm_le_main", ("main",), "amgm", "<=", "main", None, "amgm exceeded main"),
-    ("chain:rank_ge_main", ("rank_bound",), "rank_bound", ">=", "main", None,
+    ("chain:amgm_le_main", ("edged",), "amgm", "<=", "main", None, "amgm exceeded main"),
+    ("chain:rank_ge_main", ("edged_ranked",), "rank_bound", ">=", "main", None,
      "rank_bound fell below main"),
-    ("dominance:triangle_free", ("main", "is_triangle_free"), "cor_nice", ">=", "caporossi", None,
-     "cor_nice fell below caporossi"),
-    ("regular:gutman", ("main", "is_connected", "is_regular"), "cor_nice", "==", "n", None,
+    ("dominance:triangle_free", ("edged", "is_triangle_free"), "cor_nice", ">=", "caporossi",
+     None, "cor_nice fell below caporossi"),
+    ("regular:gutman", ("edged_connected", "is_regular"), "cor_nice", "==", "n", None,
      "cor_nice differs from n on a regular graph"),
-    ("irregularity:beta_ge_eps", ("main", "is_connected"), "beta", ">=", "epsilon", None,
+    ("irregularity:beta_ge_eps", ("edged_connected",), "beta", ">=", "epsilon", None,
      "beta fell below epsilon"),
-    ("irregularity:eps_ge_1", ("main", "is_connected"), "epsilon", ">=", 1.0, None,
+    ("irregularity:eps_ge_1", ("edged_connected",), "epsilon", ">=", 1.0, None,
      "epsilon fell below 1"),
     ("moment:sum", (), "moment1", "==", 0.0, _SPECTRUM_TOL, "sum of eigenvalues != 0"),
     ("moment:squares", (), "moment2", "==", "walks2", _SPECTRUM_TOL,
@@ -141,21 +141,18 @@ _CHECKS = {check[0]: check for check in (
      "energy != sum of |eigenvalues|"),
     ("spectrum:perron", (), "abs_max", "<=", "lambda1", _PERRON_SLACK,
      "an |eigenvalue| exceeds lambda1"),
-    ("spectrum:zero_tol", ("rank_bound",), "dropped_squares", "==", 0.0, _SPECTRUM_TOL,
+    ("spectrum:zero_tol", ("edged_ranked",), "dropped_squares", "==", 0.0, _SPECTRUM_TOL,
      f"eigenvalues counted as zero have squares summing past {_SPECTRUM_TOL:g}"),
-    ("conj1", ("conj1",), "conj1", "<=", "energy", None, _spectrum),
-    ("conj2", ("conj2",), "conj2", ">=", "energy", None, _spectrum),
 )}
-_VERIFY = tuple(name for name in _CHECKS if not name.startswith("conj"))
+_CONJECTURES = tuple(name for name, _, proven, _, _, _ in BOUNDS if not proven)
+_VERIFY = tuple(name for name in _CHECKS if name not in _CONJECTURES)
 
 
 def _margin(table: BoundTable, name: str) -> tuple[np.ndarray, ...]:
     """Check ``name``'s (rows, a, b, margin) columns on a table."""
     _, gates, a, relation, b, _, _ = _CHECKS[name]
     c = table.column
-    rows = np.ones(len(c["n"]), bool)
-    for key in gates:  # an applies mask, else a bool column
-        rows = rows & (c[key] if table.applies.get(key) is None else table.applies[key])
+    rows = np.logical_and.reduce([c[gate] for gate in ("every", *gates)])
     a, b = (c[x] if isinstance(x, str) else np.full(len(rows), x) for x in (a, b))
     return rows, a, b, a - b if relation == ">=" else b - a if relation == "<=" else -np.abs(a - b)
 
@@ -183,13 +180,13 @@ def _verify(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
 
 
 def _conjectures(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
-    _judge(summary, table, ("conj1", "conj2"), tol)
-    summary.graphs_skipped += int(np.count_nonzero(~table.applies["conj1"]))
+    _judge(summary, table, _CONJECTURES, tol)
+    summary.graphs_skipped += int(np.count_nonzero(~table.column[GATES[_CONJECTURES[0]]]))
 
 
 def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float) -> None:
     _judge(summary, table, (bound,), math.inf)  # a scan: nothing is a violation
-    rows, slack = table.applies[bound], table.column["slack_" + bound]
+    rows, slack = table.column[GATES[bound]], table.column["slack_" + bound]
     summary.graphs_skipped += int(np.count_nonzero(~rows))
     for i in np.flatnonzero(rows & (np.abs(slack) <= eps)).tolist():
         summary.equality_hits.append(EqualityHit(

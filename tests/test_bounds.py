@@ -393,10 +393,10 @@ def test_table_builds_each_column_group_on_first_read(monkeypatch):
     table = BoundTable(packed_groups(graphs), determinants=lambda stacks, b: solved.append(b)
                        or determinants_of_stacks(stacks, b))
     for name in ("main", "cor_nice", "amgm", "rank_bound", "caporossi", "mcclelland_upper"):
-        table.column[name], table.column["slack_" + name], table.applies[name]
-    table.column["beta"], table.applies["t_nz"]
+        table.column[name], table.column["slack_" + name], table.column[bounds.GATES[name]]
+    table.column["beta"], table.column[bounds.GATES["t_nz"]]
     assert (solved, stacks) == ([], [])
-    assert table.applies["conj2"].tolist() == [True, True, False, True]
+    assert table.column[bounds.GATES["conj2"]].tolist() == [True, True, False, True]
     assert table.column["walks3"].tolist() == [0.0, 0.0, 0.0, 0.0]
     table.column["slack_conj1"], table.column["is_regular"]
     assert (solved, sorted(stacks)) == ([], [1, 1, 2])  # one _structure call per vertex count
@@ -405,7 +405,6 @@ def test_table_builds_each_column_group_on_first_read(monkeypatch):
     assert (solved, sorted(stacks)) == ([4], [1, 1, 2])
     with pytest.raises(KeyError):
         table.column["no_such_column"]
-    assert table.applies.get("no_such_bound") is None
 
 
 def test_a_read_table_is_freed_without_the_cycle_collector():
@@ -415,7 +414,7 @@ def test_a_read_table_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         table = BoundTable(packed_groups(graphs))
-        table.report(1), table.applies["conj1"]
+        table.report(1), table.column[bounds.GATES["conj1"]]
         freed = weakref.ref(table)
         del table
         assert freed() is None

@@ -10,10 +10,11 @@ from collections import Counter
 from functools import partial
 from concurrent.futures import Executor, Future
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from geb.bounds import BoundTable, bound_report
+from geb.bounds import DEFAULT_TOL, BoundTable, bound_report
 from geb.enumeration import canonical_form, enumerate_connected
 from geb.graph6 import parse_graph6, read_chunks, write_graph6
 from geb.graphs import (
@@ -208,6 +209,71 @@ def test_equality_bound_names_are_lower_bounds():
     assert set(EQUALITY_BOUNDS) == {
         "cor_nice", "main", "rank_bound", "caporossi", "mcclelland_lower"
     }
+    proven_lower = {name for name, lower, proven, *_ in bounds.BOUNDS if lower and proven}
+    assert set(EQUALITY_BOUNDS) <= proven_lower
+
+
+def test_equality_lists_a_slack_of_exactly_eps():
+    # |E - bound| <= eps: a slack equal to eps is a hit, one ulp less eps is not
+    eps = abs(bound_report(petersen()).slack_main)
+    hits = run_equality([petersen()], bound="main", eps=eps).equality_hits
+    assert [hit.graph6 for hit in hits] == [write_graph6(petersen())]
+    assert run_equality([petersen()], bound="main", eps=np.nextafter(eps, 0)).equality_hits == []
+
+
+# --- the bound rows of _CHECKS --------------------------------------------------
+
+
+@pytest.mark.parametrize("shift", [10 * DEFAULT_TOL, -10 * DEFAULT_TOL])
+def test_regular_gutman_flags_cor_nice_off_n_either_way(monkeypatch, shift):
+    # Petersen is 3-regular on 10 vertices: cor_nice = 2m/lambda1 = 10 = n, and E = 16.
+    # cor_nice moved by 10 tol stays a valid bound, but no longer equals n
+    moved = tuple((*row[:4], lambda m, lam, f=row[4]: f(m, lam) + shift, row[5])
+                  if row[0] == "cor_nice" else row for row in bounds.BOUNDS)
+    monkeypatch.setattr(bounds, "BOUNDS", moved)
+    summary = run_verify([petersen()])
+    assert [(v.bound_name, v.energy) for v in summary.violations] == [("regular:gutman", 10.0)]
+    assert abs(summary.violations[0].bound_value - (10.0 + shift)) <= 1e-12
+    assert summary.extremes["cor_nice"].slack > 5
+
+
+# each bound's row of _CHECKS as it was written out by hand: (relation, detail)
+WRITTEN_OUT = {
+    **dict.fromkeys(("mcclelland_lower", "caporossi", "main", "cor_nice", "amgm", "rank_bound"),
+                    ("<=", None)),
+    "mcclelland_upper": (">=", None), "conj1": ("<=", harness._spectrum),
+    "conj2": (">=", harness._spectrum),
+}
+
+
+def test_bound_checks_derive_the_written_out_rows(data_dir):
+    names = [row[0] for row in bounds.BOUNDS]
+    assert [name for name in harness._CHECKS if name in names] == list(WRITTEN_OUT)
+    for name, (relation, detail) in WRITTEN_OUT.items():
+        _, _, a, rel, b, tol, det = harness._CHECKS[name]
+        assert (a, rel, b, tol) == (name, relation, "energy", None), name
+        assert det is detail, name
+    assert harness._VERIFY == tuple(name for name in harness._CHECKS
+                                    if name not in ("conj1", "conj2"))
+
+    # each gate is the mask the rows were written with
+    corpus = connected8(data_dir) + [Graph(1), Graph(3, 0), complete(3)]
+    table = BoundTable(packed_groups(corpus))  # rows in corpus order: grouped by n already
+    m = np.array([g.edge_count for g in corpus])
+    rank = np.array([np.linalg.matrix_rank(adjacency_stack(g.n, [g.adj])[0].astype(float))
+                     for g in corpus])
+    connected = np.array([nx.is_connected(nx.from_numpy_array(adjacency_stack(g.n, [g.adj])[0]))
+                          for g in corpus])
+    every = np.ones(len(corpus), bool)
+    masks = {"mcclelland_lower": every, "caporossi": every, "mcclelland_upper": every,
+             "main": m >= 1, "cor_nice": m >= 1, "amgm": m >= 1,
+             "rank_bound": (m >= 1) & (rank >= 1), "conj1": (m >= 1) & connected,
+             "conj2": (m >= 1) & connected}
+    assert sorted(masks) == sorted(names)
+    for name, mask in masks.items():
+        assert harness._margin(table, name)[0].tolist() == mask.tolist(), name
+        assert table.column[bounds.GATES[name]].tolist() == mask.tolist(), name
+    assert not connected.all() and not (m >= 1).all()  # both gates leave graphs out
 
 
 # --- merging and parallelism ----------------------------------------------------

@@ -6,8 +6,12 @@ never calls it.
 
 import ast
 import math
+import os
 import pickle
+import platform
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -745,6 +749,53 @@ def test_no_result_depends_on_where_its_buffer_lies(data_dir):
         assert len(values) == 1
         assert dets[1:] == dets[:-1]
     assert dets[0] == [bareiss_determinant(g) for g in groups[-1]]
+
+
+# sha256 of the eigenvalues, energies and |det| of connected8 and of eight seeded
+# G(62, 1/2) graphs, as the package computes them
+SOLVER_DIGEST = """
+import hashlib, random, sys
+from pathlib import Path
+from geb.graph6 import parse_graph6
+from geb.graphs import Graph, pair_count, stacks_by_n
+from geb.spectral import determinants_of_stacks, spectra_of_stacks
+
+def solver_digest(connected8):
+    rng = random.Random(62)
+    digest = hashlib.sha256()
+    for graphs in ([parse_graph6(line) for line in Path(connected8).read_text("ascii").split()],
+                   [Graph(62, rng.getrandbits(pair_count(62))) for _ in range(8)]):
+        stacks = list(stacks_by_n([g.n for g in graphs], [g.adj for g in graphs]))
+        values, energy = spectra_of_stacks(stacks, len(graphs))
+        dets = [abs(d) for d in determinants_of_stacks(stacks, len(graphs))]
+        digest.update(values.tobytes() + energy.tobytes() + repr(dets).encode("ascii"))
+    return digest.hexdigest()
+
+if __name__ == "__main__":
+    from numpy._core._multiarray_umath import __cpu_features__
+    assert not any(__cpu_features__[name] for name in sys.argv[2:]), "dispatch not capped"
+    print(solver_digest(sys.argv[1]))
+"""
+
+
+def test_results_do_not_depend_on_numpys_cpu_dispatch(data_dir):
+    # the in-house solver exists so that no result depends on the host's SIMD: a process
+    # with numpy's dispatch capped at its baseline (X86_V2 on x86-64) must compute the
+    # same bits as this one
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("numpy's dispatch is capped at X86_V2 on x86-64 hosts only")
+    umath = pytest.importorskip("numpy._core._multiarray_umath", reason="needs numpy 2")
+    capped = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    if not capped:
+        pytest.skip("this host runs numpy at its baseline already")
+    namespace = {"__name__": "solver_digest"}
+    exec(SOLVER_DIGEST, namespace)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(capped), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(geb.spectral.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SOLVER_DIGEST, str(data_dir / "connected8.g6"),
+                           *capped], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == namespace["solver_digest"](data_dir / "connected8.g6")
 
 
 @pytest.mark.parametrize("n,b", [(1, 1), (7, 853), (8, 883), (30, 1), (62, 32)])
