@@ -48,7 +48,7 @@ from .graph6 import write_graph6
 # perfbench/tracing.py's sites patch them
 from .graphs import (Graph, degree_sequence, is_connected, is_regular,  # noqa: F401
                      is_triangle_free, packed_groups, packed_rows, pair_bits, pair_stack,
-                     pairs_in_order, structure_columns)
+                     pairs_in_order, row_graph, structure_columns)
 from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, determinant_exact,  # noqa: F401
                        determinants_of_stacks, eigenvalues, sequential_sum, spectra_of_stacks,
                        spectral_columns, spectral_stats)
@@ -351,7 +351,7 @@ class BoundTable:
         def graph(i: int) -> Graph:
             k = bisect_right(starts, i) - 1
             size, packed = chunk[k]
-            return Graph(size, int.from_bytes(packed[i - starts[k]].tobytes(), "little"))
+            return row_graph(size, packed[i - starts[k]])
         self.graph = graph = cache(graph)
         self.graph6 = cache(lambda i: write_graph6(graph(i)))
 

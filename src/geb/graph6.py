@@ -8,13 +8,13 @@ the upper triangle, column by column, most significant bit first, offset by
 
 One routine, ``_packed``, turns payload bytes into packed rows (see
 ``graphs``), for any number of lines of one size at once; ``parse_graph6`` is
-its one-line case. ``_decode_block`` checks size byte, payload length and
-byte range for a block of lines as numpy masks (Graph's checks) and packs
-each size's lines in one call. A line the masks flag (a header, a bad or
-non-ASCII line) goes through ``parse_graph6``, so every error and skip is
-the per-line one. ``read_chunks`` yields each block as packed groups, with
-no Graph for a line the masks pass; ``stream_corpus`` yields
-``(line number, Graph)`` in line order.
+its one-line case. ``_decode_block`` checks a block of lines as numpy masks
+(``parse_graph6``'s checks: size byte, payload length, byte range) and packs
+each size's lines in one call; every valid corpus line, a header-prefixed
+first one too, becomes packed rows that way alone. A line the masks flag
+cannot parse: ``parse_graph6`` only words its error, the per-line one.
+``read_chunks`` yields each block as packed groups and builds no Graph;
+``stream_corpus`` yields ``(line number, Graph)`` in line order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     HeaderMismatch,
     TruncatedBits,
 )
-from .graphs import MAX_VERTICES, Graph, msb_first, packed_rows, pair_count
+from .graphs import MAX_VERTICES, Graph, msb_first, pair_count, row_graph
 
 HEADER = ">>graph6<<"
 
@@ -73,7 +73,7 @@ def parse_graph6(line: str) -> Graph:
         if not 63 <= ord(ch) <= 126:
             raise ByteOutOfRange(f"payload byte {ch!r} outside graph6 range")
     codes = np.frombuffer(payload.encode("ascii"), dtype=np.uint8) - np.uint8(63)
-    return Graph(size, int.from_bytes(_packed(size, codes.reshape(1, need)).tobytes(), "little"))
+    return row_graph(size, _packed(size, codes.reshape(1, need))[0])
 
 
 def write_graph6(g: Graph) -> str:
@@ -87,49 +87,42 @@ def write_graph6(g: Graph) -> str:
 
 def _decode_block(block: list[tuple[int, str]]) -> tuple[list[tuple], list[tuple]]:
     """A block of numbered lines as (n, line numbers, packed rows) groups, one per
-    vertex count, and as (line number, error) pairs. The block is encoded once
-    with surrogateescape, so a line read that way keeps its length and a
-    non-ASCII byte fails only its own line's range check. A block holding
-    characters that do not encode goes line by line.
+    vertex count, and as (line number, error) pairs. The block is read as one
+    UTF-32 array, a code unit per character, so any character fails only its own
+    line's range check; the masks read line 1 without its header. They check
+    parse_graph6's rules (size byte, payload length, byte range, header), so a
+    line they flag cannot parse: parse_graph6 only words its error.
     """
     first = block[0][0]
     lines = [raw.strip() for _, raw in block]
-    ok = np.zeros(len(lines), dtype=bool)
-    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    try:
-        raw = "".join(lines).encode("ascii", "surrogateescape")
-    except UnicodeEncodeError:
-        raw = None
-    if raw is not None:
-        buf = np.frombuffer(raw + b"\0", dtype=np.uint8)  # the 0 is an empty last line's size byte
-        lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
-        starts = np.cumsum(lengths) - lengths
-        outside = np.concatenate(([0], np.cumsum((buf < 63) | (buf > 126))))
-        size = buf[starts].astype(np.intp) - 63
-        ok = ((size >= 1) & (size <= MAX_VERTICES)
-              & (lengths == 1 + (size * (size - 1) // 2 + 5) // 6)
-              & (outside[starts + lengths] == outside[starts + 1]))
-        for n in dict.fromkeys(size[ok].tolist()):  # not np.unique: it imports numpy.ma
-            rows = np.flatnonzero(ok & (size == n))
-            need = (pair_count(n) + 5) // 6
-            payload = buf[starts[rows, None] + np.arange(1, need + 1)] - np.uint8(63)
-            groups[n] = rows + first, _packed(n, payload)
+    if first == 1 and lines[0].startswith(HEADER):
+        lines[0] = lines[0][len(HEADER):]
+    codes = np.frombuffer(("".join(lines) + "\0").encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=len(lines))
+    starts = np.cumsum(lengths) - lengths
+    outside = np.concatenate(([0], np.cumsum((codes < 63) | (codes > 126))))
+    size = codes[starts].astype(np.intp) - 63  # the 0 is an empty last line's size byte
+    ok = ((size >= 1) & (size <= MAX_VERTICES)
+          & (lengths == 1 + (size * (size - 1) // 2 + 5) // 6)
+          & (outside[starts + lengths] == outside[starts + 1]))
+    groups = []
+    for n in dict.fromkeys(size[ok].tolist()):  # not np.unique: it imports numpy.ma
+        rows = np.flatnonzero(ok & (size == n))
+        need = (pair_count(n) + 5) // 6
+        payload = (codes[starts[rows, None] + np.arange(1, need + 1)] - 63).astype(np.uint8)
+        groups.append((n, rows + first, _packed(n, payload)))
     errors = []
     for k in np.flatnonzero(~ok).tolist():
-        lineno, line = first + k, lines[k]
+        lineno, line = first + k, block[k][1].strip()  # as read: line 1 with its header
         if not line or (lineno == 1 and line == HEADER):
             continue
         try:
             if line.startswith(">>") and lineno > 1:
                 raise Graph6Error("header allowed on the first line only")
-            g = parse_graph6(line)
+            parse_graph6(line)
         except Graph6Error as exc:
             errors.append((lineno, exc))
-            continue
-        linenos, packed = groups.get(g.n, (np.zeros(0, np.intp), packed_rows(g.n, [])))
-        groups[g.n] = (np.append(linenos, lineno),
-                       np.concatenate((packed, packed_rows(g.n, [g.adj]))))
-    return [(n, linenos, packed) for n, (linenos, packed) in groups.items()], errors
+    return groups, errors
 
 
 def _blocks(reader: TextIO) -> Iterator[tuple[list[tuple], list[tuple]]]:
@@ -148,7 +141,7 @@ def read_chunks(reader: TextIO, on_bad=None) -> Iterator[list[tuple]]:
     """Yield each block of lines that holds a graph as (n, line numbers, packed rows) groups.
 
     Lines, errors and ``on_bad`` calls are ``stream_corpus``'s, but a block's
-    errors come first, and only a line on the per-line path builds a Graph.
+    errors come first, and no Graph is built.
     """
     for groups, errors in _blocks(reader):
         for lineno, exc in errors:
@@ -168,8 +161,7 @@ def stream_corpus(reader: TextIO, on_bad=None) -> Iterator[tuple[int, Graph]]:
     for groups, errors in _blocks(reader):
         found: dict[int, Graph | Graph6Error] = dict(errors)
         for n, linenos, packed in groups:
-            found.update(zip(linenos.tolist(),
-                             (Graph(n, int.from_bytes(row.tobytes(), "little")) for row in packed)))
+            found.update(zip(linenos.tolist(), (row_graph(n, row) for row in packed)))
         for lineno in sorted(found):
             if isinstance(item := found[lineno], Graph):
                 yield lineno, item

@@ -7,8 +7,9 @@ column-by-column order of the graph6 format. Isolated vertices are legal (n
 is stored separately from the bits). A corpus chunk holds, per vertex
 count, one uint8 row per graph of the bitset's ceil(C(n,2)/8) little-endian
 bytes: packed rows. Only this module decodes the bits, with one decoder:
-``pair_bits`` and ``pair_stack`` unpack packed rows, and ``_decode`` is one
-graph's row; the per-graph predicates are row 0 of ``structure_columns``.
+``pair_bits`` and ``pair_stack`` unpack packed rows, ``row_graph`` turns one
+back into a Graph, and ``_decode`` is one graph's row; the per-graph
+predicates are row 0 of ``structure_columns``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,11 @@ def packed_rows(n: int, bitsets: Sequence[int]) -> np.ndarray:
     nbytes = (pair_count(n) + 7) // 8  # via bytes, not int64: a bitset can exceed 63 bits
     raw = b"".join(bits.to_bytes(nbytes, "little") for bits in bitsets)
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(bitsets), nbytes)
+
+
+def row_graph(n: int, row: np.ndarray) -> Graph:
+    """The n-vertex Graph of one packed row, the inverse of ``packed_rows``."""
+    return Graph(n, int.from_bytes(row.tobytes(), "little"))
 
 
 def packed_groups(graphs: Iterable[Graph]) -> list[tuple[int, np.ndarray]]:

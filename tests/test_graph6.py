@@ -20,7 +20,7 @@ from geb.errors import (
     NTooLarge,
     TruncatedBits,
 )
-from geb.graphs import Graph, complete, from_edge_list, pair_count
+from geb.graphs import Graph, complete, from_edge_list, packed_rows, pair_count
 from geb.graph6 import HEADER, parse_graph6, read_chunks, stream_corpus, write_graph6
 
 from conftest import random_graphs
@@ -77,11 +77,22 @@ def test_whitespace_tolerated():
         ("B", TruncatedBits),  # payload missing
         ("BwW", TruncatedBits),  # payload too long
         ("B!", ByteOutOfRange),  # payload byte below offset 63
+        ("B>", ByteOutOfRange),  # the byte just below it
     ],
 )
 def test_parse_errors(line, exc):
     with pytest.raises(exc):
         parse_graph6(line)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("~" + "?" * 326, "long size encoding (n >= 63) is not supported"),
+    ("?", "size byte '?' does not encode n in 1..62"),  # n = 0: no Graph to build
+])
+def test_size_byte_errors_say_why(line, message):
+    with pytest.raises(BadSizeByte) as err:
+        parse_graph6(line)
+    assert str(err.value) == message
 
 
 def test_write_rejects_large_graphs():
@@ -134,6 +145,16 @@ def test_stream_corpus_empty_and_blank_lines():
 def test_stream_corpus_header_line():
     out = list(stream_corpus(io.StringIO(">>graph6<<\nA_\n")))
     assert [lineno for lineno, _ in out] == [2]
+
+
+@pytest.mark.parametrize("first,exc,message", [
+    (">>sparse6<<:A_", HeaderMismatch, "unrecognized header on '>>sparse6<<:'"),
+    (HEADER + HEADER + "A_", BadSizeByte, "size byte '>' does not encode n in 1..62"),
+])
+def test_stream_corpus_bad_header_on_line_one(first, exc, message):
+    # line 1's header is cut once, before the masks; the error is parse_graph6's
+    out = outcome(stream_corpus, first + "\nA_\n", True)
+    assert out == [("bad", 1, exc, message), ("graph", 2, Graph(2, 1))]
 
 
 def test_stream_corpus_reports_bad_line():
@@ -209,6 +230,10 @@ def outcome(stream, text, skip):
     return events
 
 
+# neither ASCII nor surrogate escapes; str.strip removes U+00A0 at a line's ends only
+NON_ASCII = "\u00e9\u2603\u00a0"
+
+
 @st.composite
 def corpus_lines(draw):
     """One corpus line, valid or broken in one of the ways a corpus can be."""
@@ -216,7 +241,7 @@ def corpus_lines(draw):
     line = write_graph6(Graph(n, draw(st.integers(0, (1 << pair_count(n)) - 1))))
     kind = draw(st.sampled_from(["valid"] * 6 + [
         "padding", "blank", "header", "long", "short", "extra", "low", "high", "surrogate",
-        "surrogate_size", "spaces"]))
+        "surrogate_size", "nonascii", "nonascii_size", "n0", "spaces"]))
     if kind == "padding" and 6 * (len(line) - 1) > pair_count(n):
         padding = (1 << 6 * (len(line) - 1) - pair_count(n)) - 1
         line = line[:-1] + chr(63 + (ord(line[-1]) - 63 | padding))
@@ -230,12 +255,18 @@ def corpus_lines(draw):
         line = line[:-1]
     elif kind == "extra":
         line += "?"
-    elif kind in ("low", "high", "surrogate") and len(line) > 1:
+    elif kind in ("low", "high", "surrogate", "nonascii") and len(line) > 1:
         k = draw(st.integers(1, len(line) - 1))
-        bad = {"low": "!", "high": "\x7f", "surrogate": draw(st.sampled_from("\udc80\udcc3\udcff"))}
+        bad = {"low": draw(st.sampled_from("!>")), "high": "\x7f",
+               "surrogate": draw(st.sampled_from("\udc80\udcc3\udcff")),
+               "nonascii": draw(st.sampled_from(NON_ASCII))}
         line = line[:k] + bad[kind] + line[k + 1:]
     elif kind == "surrogate_size":
         line = "\udcc3" + line[1:]
+    elif kind == "nonascii_size":
+        line = draw(st.sampled_from(NON_ASCII)) + line[1:]
+    elif kind == "n0":
+        line = "?"  # graph6 for the empty graph, which Graph rejects
     elif kind == "spaces":
         line = " " + line + "  "
     return line + draw(st.sampled_from(["\n", "\r\n"]))
@@ -317,18 +348,8 @@ def test_bad_lines_on_both_sides_of_a_block_boundary(data_dir):
                        2 * graph6._BLOCK]
 
 
-def test_characters_beyond_one_byte_take_the_per_line_path():
-    # a reader not opened as ASCII may hold any character: its block is decoded line by line
-    text = "A_\nB\u00e9\nBw\n"
-    got = outcome(stream_corpus, text, True)
-    assert got == outcome(per_line, text, True)
-    assert [event[:2] for event in got] == [("graph", 1), ("bad", 2), ("graph", 3)]
-
-
-@pytest.mark.parametrize("name", ["connected8.g6", "gnp_small.g6"])
-def test_fixture_corpora_never_take_the_per_line_path(data_dir, monkeypatch, name):
-    with open(data_dir / name, encoding="ascii", errors="surrogateescape") as fh:
-        want = [(lineno, parse_graph6(line)) for lineno, line in enumerate(fh, 1)]
+def counted_parses(monkeypatch):
+    """The lines graph6's own parse_graph6 is called on from here on."""
     calls = []
 
     def counted(line):
@@ -336,6 +357,52 @@ def test_fixture_corpora_never_take_the_per_line_path(data_dir, monkeypatch, nam
         return parse_graph6(line)
 
     monkeypatch.setattr(graph6, "parse_graph6", counted)
+    return calls
+
+
+def test_characters_beyond_one_byte_fail_only_their_own_line(monkeypatch):
+    # a reader not opened as ASCII may hold any character: it costs its own line alone
+    text = "A_\nB\u00e9\nBw\n"
+    want = outcome(per_line, text, True)
+    calls = counted_parses(monkeypatch)
+    got = outcome(stream_corpus, text, True)
+    assert got == want
+    assert [event[:2] for event in got] == [("graph", 1), ("bad", 2), ("graph", 3)]
+    assert calls == ["B\u00e9"]
+
+
+@pytest.mark.parametrize("case", ["non_ascii", "header"])
+def test_only_flagged_lines_reach_the_per_line_parser(data_dir, monkeypatch, case):
+    # connected8 with a non-ASCII line before every 1000th line, or with a header
+    # on line 1: parse_graph6 runs once per bad line and never on a valid one
+    good = (data_dir / "connected8.g6").read_text(encoding="ascii").split()
+    lines = []
+    for k, line in enumerate(good):
+        if case == "non_ascii" and k % 1000 == 0:
+            lines.append("G\u00e9" + line[2:])
+        lines.append(line)
+    if case == "header":
+        lines[0] = HEADER + lines[0]
+    bad = [lineno for lineno, line in enumerate(lines, 1) if "\u00e9" in line]
+    calls = counted_parses(monkeypatch)
+    skipped, rows = [], []
+    for groups in read_chunks(io.StringIO("\n".join(lines) + "\n"),
+                              lambda lineno, exc: skipped.append((lineno, type(exc)))):
+        rows += [(lineno, n, row.tobytes()) for n, linenos, packed in groups
+                 for lineno, row in zip(linenos.tolist(), packed)]
+    assert len(calls) == len(bad) == {"non_ascii": 12, "header": 0}[case]
+    assert skipped == [(lineno, ByteOutOfRange) for lineno in bad]
+    rows.sort()
+    assert [row[0] for row in rows] == [k for k in range(1, len(lines) + 1) if k not in bad]
+    assert [row[1:] for row in rows] == [(g.n, packed_rows(g.n, [g.adj]).tobytes())
+                                         for g in map(parse_graph6, good)]
+
+
+@pytest.mark.parametrize("name", ["connected8.g6", "gnp_small.g6"])
+def test_fixture_corpora_never_take_the_per_line_path(data_dir, monkeypatch, name):
+    with open(data_dir / name, encoding="ascii", errors="surrogateescape") as fh:
+        want = [(lineno, parse_graph6(line)) for lineno, line in enumerate(fh, 1)]
+    calls = counted_parses(monkeypatch)
     with open(data_dir / name, encoding="ascii", errors="surrogateescape") as fh:
         assert list(stream_corpus(fh)) == want
     assert len(calls) == 0
