@@ -13,14 +13,13 @@ whole tier-1 suite. A mutant that passes both is a survivor. Each survivor must
 be listed in ``equivalent_mutants.txt`` beside this script, with the reason it
 behaves like the original; the script exits 1 on a survivor that is not.
 
-Usage: ``python scripts/mutants.py [--list] [TARGET ...]`` from the repository
-root; the targets default to all of ``TARGETS``. The mutants are run in a copy
-of the repository under ``$TMPDIR``, never in the checkout itself.
+Usage: ``python scripts/mutants.py`` from the repository root; it runs every
+row of ``TARGETS``. The mutants are run in a copy of the repository under
+``$TMPDIR``, never in the checkout itself.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import copy
 import os
@@ -168,25 +167,13 @@ def _passes(workdir: Path, args: list[str]) -> bool:
         return False
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("targets", nargs="*", default=list(TARGETS), help=", ".join(TARGETS))
-    parser.add_argument("--list", action="store_true", help="print the mutants and run none")
-    args = parser.parse_args(argv)
-    if unknown := set(args.targets) - set(TARGETS):
-        parser.error(f"unknown targets: {', '.join(sorted(unknown))}")
-    if args.list:
-        for target in args.targets:
-            for name, _ in mutants(target):
-                print(name)
-        return 0
+def main() -> int:
     listed, verdicts, began = _equivalent(), {}, time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="geb-mutants-") as tmp:
         workdir = Path(tmp) / "repo"
         shutil.copytree(ROOT, workdir, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        for target in args.targets:
-            path, _functions, tests, _constants = TARGETS[target]
+        for target, (path, _functions, tests, _constants) in TARGETS.items():
             original = (workdir / path).read_bytes()
             if not _passes(workdir, list(tests)):
                 print(f"{target}: its tests fail before any mutation", file=sys.stderr)
@@ -207,8 +194,7 @@ def main(argv=None) -> int:
     print(f"{len(verdicts)} mutants in {time.perf_counter() - began:.0f} s: "
           f"{counts['subset']} killed by the target's tests, {counts['tier-1']} by tier-1, "
           f"{counts['listed']} listed as equivalent, {counts['SURVIVED']} unlisted survivors")
-    stale = [name for name in listed
-             if name.split(" ", 1)[0] in args.targets and verdicts.get(name) != "listed"]
+    stale = [name for name in listed if verdicts.get(name) != "listed"]
     for name in stale:
         print(f"listed but not a survivor: {name}")
     return 1 if counts["SURVIVED"] or stale else 0
