@@ -37,12 +37,21 @@ EQUIVALENT = Path(__file__).with_name("equivalent_mutants.txt")
 TARGETS = {
     "graph6": ("src/geb/graph6.py", ("_packed", "_decode_block", "parse_graph6", "write_graph6"),
                ("tests/test_graph6.py",), ("MAX_VERTICES",)),
+    "graphs": ("src/geb/graphs.py", ("structure_columns", "connected_column", "pair_bits",
+                                     "pair_stack", "is_complete_bipartite"),
+               ("tests/test_graphs.py", "tests/test_bounds.py"), ()),
+    "bounds": ("src/geb/bounds.py", ("mcclelland_lower", "mcclelland_upper", "caporossi_lower",
+                                     "main_lower", "cor_nice_lower", "amgm_lower", "rank_lower",
+                                     "conj1_lower", "conj2_upper", "_mcclelland_column",
+                                     "_epsilon", "_beta", "_where", "_bound_columns",
+                                     "_structure_columns"),
+               ("tests/test_bounds.py",), ()),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--hypothesis-seed=0"]
 TIER1 = ["--continue-on-collection-errors"]
-TIMEOUT = 900  # seconds; a mutant that loops forever counts as killed
+TIMEOUT = 300  # seconds, about 6x a tier-1 run; a mutant that loops forever counts as killed
 
 FLIPS = {ast.Lt: (ast.LtE, ast.GtE), ast.LtE: (ast.Lt, ast.Gt), ast.Gt: (ast.GtE, ast.LtE),
          ast.GtE: (ast.Gt, ast.Lt), ast.Eq: (ast.NotEq,), ast.NotEq: (ast.Eq,),

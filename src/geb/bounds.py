@@ -22,14 +22,15 @@ row, two ``BoundReport`` fields and a README line.
 
 ``BoundTable`` evaluates a chunk of packed rows (see ``graphs``) at once,
 one numpy column per ``BoundReport`` field. One adjacency stack per vertex
-count feeds the solve, the exact determinants and the structure columns
-(connectivity, triangles, epsilon). Those groups, the spectrum's sums and
-each bound are built when first read, so a command pays only for what it
-reads. The bound functions take scalars and columns alike. Only
-``mcclelland_lower`` runs in ``math``, once per distinct (n, m, |det|) of a
-chunk: numpy's exp and log may differ from it in the last bit. Sums add
-left to right, so every column equals the per-graph arithmetic bit for
-bit. ``bound_report`` is row 0 of a one-graph table.
+count feeds the solve, the exact determinants and ``graphs.structure_columns``
+(regularity, connectivity, triangles, and the root sum behind epsilon).
+Those groups, the spectrum's sums and each bound are built when first read,
+so a command pays only for what it reads. The bound functions take scalars
+and columns alike. Only ``mcclelland_lower`` runs in ``math``, once per
+distinct (n, m, |det|) of a chunk: numpy's exp and log may differ from it
+in the last bit. Sums add left to right, so every column equals the
+per-graph arithmetic bit for bit. ``bound_report`` is row 0 of a one-graph
+table.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ from .graph6 import write_graph6
 # degree_sequence, determinant_exact, eigenvalues, is_connected, is_regular, is_triangle_free
 # and spectral_stats are not called here; they stay importable from this module because
 # perfbench/tracing.py's sites patch them
-from .graphs import (Graph, degree_sequence, is_connected, is_regular,  # noqa: F401
-                     is_triangle_free, packed_groups, packed_rows, pair_bits, pair_stack,
-                     pairs_in_order, row_graph, structure_columns)
+from .graphs import (Graph, adjacency_stack, degree_sequence, is_connected,  # noqa: F401
+                     is_regular, is_triangle_free, packed_groups, pair_bits, pair_stack,
+                     row_graph, sequential_sum, structure_columns)
 from .spectral import (DEFAULT_ZERO_TOL, SpectralStats, determinant_exact,  # noqa: F401
-                       determinants_of_stacks, eigenvalues, sequential_sum, spectra_of_stacks,
+                       determinants_of_stacks, eigenvalues, spectra_of_stacks,
                        spectral_columns, spectral_stats)
 
 DEFAULT_TOL = 1e-9  # how far below 0 a margin may fall before verify or conjectures flags it
@@ -129,8 +130,7 @@ def irregularity(g: Graph, stats: SpectralStats) -> tuple[float, float]:
     """
     m = g.edge_count
     _require(m == 0, "irregularity measures need at least one edge")
-    bits = pair_bits(g.n, packed_rows(g.n, [g.adj]))
-    root_sum = _structure(pair_stack(g.n, bits), bits)[-1][0]
+    root_sum = structure_columns(adjacency_stack(g.n, [g.adj]))[-1][0]
     return _epsilon(g.n, m, root_sum), _beta(g.n, m, stats.lambda1)
 
 
@@ -170,20 +170,6 @@ BOUNDS = (
 # each BoundReport field that some graphs may leave None, and every bound's, to its gate column
 GATES = {"t_nz": "ranked", "epsilon": "edged", "beta": "edged"} | {
     field: gate for name, _, _, gate, _, _ in BOUNDS for field in (name, "slack_" + name)}
-
-
-def _structure(stack: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per graph of a (b, n, n) 0/1 stack: regular, connected, closed 3- and 4-walks, root sum.
-
-    ``graphs.structure_columns`` gives the degrees, connectivity and walks;
-    this adds regularity and the root sum, which adds sqrt(d_i d_j) over the
-    edges, the stack's (b, C(n,2)) pair ``bits``, left to right.
-    """
-    degrees, connected, walks3, walks4 = structure_columns(stack)
-    i, j = np.array(pairs_in_order(stack.shape[1]), dtype=np.intp).reshape(-1, 2).T
-    root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * bits)
-    regular = degrees.min(axis=1) == degrees.max(axis=1)
-    return regular, connected, walks3, walks4, root_sum
 
 
 class BoundReport(NamedTuple):
@@ -256,14 +242,15 @@ def _determinant_columns(stacks: list, determinants: Callable, c: dict) -> dict[
     return {"det_abs": np.array([abs(d) for d in determinants(stacks, len(c["n"]))], dtype=object)}
 
 
-def _structure_columns(stacks: list, bits: list, c: dict) -> dict[str, np.ndarray]:
-    """``_structure`` per vertex count, and what needs it: epsilon and ``edged_connected``."""
+def _structure_columns(stacks: list, c: dict) -> dict[str, np.ndarray]:
+    """``graphs.structure_columns`` per vertex count, and what needs it: epsilon and
+    ``edged_connected``."""
     b = len(c["n"])
     regular, connected = np.empty(b, bool), np.empty(b, bool)
     walks3, walks4, root_sum = np.empty(b), np.empty(b), np.empty(b)
-    for (rows, stack), group_bits in zip(stacks, bits):
-        (regular[rows], connected[rows], walks3[rows], walks4[rows],
-         root_sum[rows]) = _structure(stack, group_bits)
+    for rows, stack in stacks:
+        (_, regular[rows], connected[rows], walks3[rows], walks4[rows],
+         root_sum[rows]) = structure_columns(stack)
     return {"is_connected": connected, "is_regular": regular, "is_triangle_free": walks3 == 0,
             "walks3": walks3, "walks4": walks4, "edged_connected": c["edged"] & connected,
             "epsilon": _where(c["edged"], _epsilon, c["n"], c["m"], root_sum)}
@@ -306,8 +293,8 @@ class BoundTable:
     """Every BoundReport field of a chunk of graphs, one numpy column per field.
 
     Each (n, packed rows) group of the chunk is unpacked once, into pair bits:
-    m, its adjacency stack and the root sum read them. ``column[field]`` holds
-    the field per graph, group after group, and ``column["walksK"]`` tr A^K
+    m, its adjacency stack and ``graph6_order()`` read them. ``column[field]``
+    holds the field per graph, group after group, and ``column["walksK"]`` tr A^K
     for K = 2, 3, 4, which the spectrum checks compare with the power sums of
     ``_spectrum_columns``. Gates are bool columns: where ``column[GATES[f]]``
     fails, field f holds nan, and a BoundReport None. ``values`` holds the
@@ -317,8 +304,9 @@ class BoundTable:
     order, with no encoding.
 
     Built when first read: ``determinants(stacks, b)``, called once at most;
-    ``_structure``, with epsilon and ``edged_connected``; the spectrum's sums;
-    and each ``BOUNDS`` row's bound and slack. The rest is built here.
+    ``graphs.structure_columns``, with epsilon and ``edged_connected``; the
+    spectrum's sums; and each ``BOUNDS`` row's bound and slack. The rest is
+    built here.
     """
 
     def __init__(self, chunk: Sequence[tuple[int, np.ndarray]],
@@ -342,7 +330,7 @@ class BoundTable:
         # the builders are handed the columns and hold arrays, not the table: no reference
         # cycle keeps a finished chunk's table alive until the next full collection
         groups = {"det_abs": partial(_determinant_columns, stacks, determinants)}
-        groups |= dict.fromkeys(_STRUCTURE, partial(_structure_columns, stacks, bits))
+        groups |= dict.fromkeys(_STRUCTURE, partial(_structure_columns, stacks))
         groups |= dict.fromkeys(_SPECTRUM, partial(_spectrum_columns, self.values))
         groups |= {field: partial(_bound_columns, row)
                    for row in BOUNDS for field in (row[0], "slack_" + row[0])}

@@ -8,14 +8,16 @@ is stored separately from the bits). A corpus chunk holds, per vertex
 count, one uint8 row per graph of the bitset's ceil(C(n,2)/8) little-endian
 bytes: packed rows. Only this module decodes the bits, with one decoder:
 ``pair_bits`` and ``pair_stack`` unpack packed rows, ``row_graph`` turns one
-back into a Graph, and ``_decode`` is one graph's row; the per-graph
-predicates are row 0 of ``structure_columns``.
+back into a Graph, and ``_decode`` is one graph's row. ``structure_columns``
+is the one place that derives structure from a stack: degrees, regularity,
+connectivity, closed walks and the root sum; the per-graph predicates are
+row 0 of it. ``sequential_sum`` lives here so that the root sum and the
+spectral sums add in one order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,12 +37,6 @@ def pair_index(i: int, j: int) -> int:
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-@lru_cache(maxsize=None)
-def pairs_in_order(n: int) -> tuple[tuple[int, int], ...]:
-    """All unordered pairs in bitset order: (0,1), (0,2), (1,2), (0,3), ..."""
-    return tuple((i, j) for j in range(n) for i in range(j))
 
 
 def msb_first(n: int, bits: int) -> int:
@@ -119,7 +115,7 @@ def pair_bits(n: int, packed: np.ndarray) -> np.ndarray:
 def pair_stack(n: int, bits: np.ndarray) -> np.ndarray:
     """The (k, n, n) symmetric uint8 0/1 matrices of k rows of pair bits."""
     stack = np.zeros((len(bits), n, n), dtype=np.uint8)
-    j, i = np.tril_indices(n, -1)  # row-major lower triangle = pairs_in_order(n)
+    j, i = np.tril_indices(n, -1)  # row-major lower triangle = bitset order: (0,1), (0,2), ...
     stack[:, i, j] = stack[:, j, i] = bits
     return stack
 
@@ -141,17 +137,31 @@ def connected_column(a: np.ndarray, a2: np.ndarray | None = None) -> np.ndarray:
     return (reach[:, 0] > 0).all(axis=1)
 
 
+def sequential_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, added left to right as Python's ``sum`` adds.
+
+    ``np.sum`` adds pairwise, which differs in the last bit from 8 terms on.
+    """
+    return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
+
+
 def structure_columns(stack: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per graph of a (b, n, n) 0/1 stack: its (b, n) degrees, connected, closed 3- and 4-walks.
+    """Per graph of a (b, n, n) 0/1 stack: its (b, n) degrees, regular, connected, closed
+    3- and 4-walks, and the root sum.
 
     Closed 3-walks are six times the triangles; closed 4-walks, tr A^4, add
-    the squared entries of A^2. In float32 every count is exact.
+    the squared entries of A^2. In float32 every count is exact. The root sum
+    adds sqrt(d_i d_j) over the edges in bitset order, left to right.
     """
     a = stack.astype(np.float32)
     a2 = a @ a
+    degrees = a.sum(axis=2, dtype=float)
     walks3 = (a2 * a).sum(axis=(1, 2), dtype=float)
     walks4 = (a2 * a2).sum(axis=(1, 2), dtype=float)
-    return a.sum(axis=2, dtype=float), connected_column(a, a2), walks3, walks4
+    j, i = np.tril_indices(stack.shape[1], -1)  # as in pair_stack: stack[:, j, i] are pair bits
+    root_sum = sequential_sum(np.sqrt(degrees[:, i] * degrees[:, j]) * stack[:, j, i])
+    regular = degrees.min(axis=1) == degrees.max(axis=1)
+    return degrees, regular, connected_column(a, a2), walks3, walks4, root_sum
 
 
 def stacks_by_n(sizes: Sequence[int], bitsets: Sequence[int]) -> Iterator[tuple[np.ndarray, ...]]:
@@ -222,16 +232,16 @@ def degree_sequence(g: Graph) -> list[int]:
 
 
 def is_regular(g: Graph) -> bool:
-    return len(set(degree_sequence(g))) == 1
+    return bool(_structure_of(g)[1])
 
 
 def is_connected(g: Graph) -> bool:
-    return bool(_structure_of(g)[1])
+    return bool(_structure_of(g)[2])
 
 
 def triangle_count(g: Graph) -> int:
     """Number of triangles: a sixth of the closed 3-walks."""
-    return int(_structure_of(g)[2]) // 6
+    return int(_structure_of(g)[3]) // 6
 
 
 def is_triangle_free(g: Graph) -> bool:

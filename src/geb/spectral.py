@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, adjacency_stack, stacks_by_n
+from .graphs import MAX_VERTICES, Graph, adjacency_stack, sequential_sum, stacks_by_n
 
 DEFAULT_ZERO_TOL = 1e-8
 _COUNT = np.min_scalar_type(MAX_VERTICES)  # the bisection's Sturm counts, 0..n
@@ -212,14 +212,6 @@ def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
         blend *= move
         bits ^= blend
         np.greater(np.subtract(hi, lo, out=t), tol, out=active)
-
-
-def sequential_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of a 2-D array, added left to right as Python's ``sum`` adds.
-
-    ``np.sum`` adds pairwise, which differs in the last bit from 8 terms on.
-    """
-    return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
 
 
 def spectra_of_stacks(stacks: Iterable[tuple], b: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,9 @@ from geb.graphs import (
     complete_bipartite,
     cycle,
     from_edge_list,
+    is_connected,
+    is_regular,
+    is_triangle_free,
     packed_groups,
     packed_rows,
     path,
@@ -148,6 +151,14 @@ def test_edgeless_inputs_raise():
         conj2_upper(0, 0.0)
     with pytest.raises(EmptyGraph):
         irregularity(Graph(3, 0), spectral_stats(eigenvalues(Graph(3, 0))))
+
+
+def test_rank_lower_refuses_each_missing_factor_alone():
+    for m, r, lambda1, t_nz in ((1, 0, 1.0, 1.0), (1, 2, 0.0, 1.0), (1, 2, 1.0, 0.0)):
+        with pytest.raises(EmptyGraph):
+            rank_lower(m, r, lambda1, t_nz)
+    assert rank_lower(1, 1, 1.0, 1.0) == 1.5  # one nonzero eigenvalue is enough
+    assert rank_lower(1, 2, 1.0, 0.5) == approx(3.0 / 1.5)
 
 
 # --- bound_report ------------------------------------------------------------
@@ -384,12 +395,22 @@ def test_table_reports_equal_the_eager_tables_by_repr(data_dir, name):
     assert digest.hexdigest() == EAGER_REPORTS[name]
 
 
+@pytest.mark.parametrize("name", ["connected8.g6", "gnp_small.g6"])
+def test_table_structure_columns_equal_the_per_graph_predicates(data_dir, name):
+    graphs = [parse_graph6(line) for line in (data_dir / name).read_text(encoding="ascii").split()]
+    graphs = [graphs[k] for k in table_order(graphs)]
+    column = BoundTable(packed_groups(graphs)).column
+    for field, predicate in (("is_regular", is_regular), ("is_connected", is_connected),
+                             ("is_triangle_free", is_triangle_free)):
+        assert column[field].tolist() == [predicate(g) for g in graphs], field
+
+
 def test_table_builds_each_column_group_on_first_read(monkeypatch):
     graphs = [petersen(), path(4), Graph(4, 0), cycle(5)]
     solved, stacks = [], []
-    structure = bounds._structure
-    monkeypatch.setattr(bounds, "_structure",
-                        lambda stack, bits: stacks.append(len(stack)) or structure(stack, bits))
+    structure = bounds.structure_columns
+    monkeypatch.setattr(bounds, "structure_columns",
+                        lambda stack: stacks.append(len(stack)) or structure(stack))
     table = BoundTable(packed_groups(graphs), determinants=lambda stacks, b: solved.append(b)
                        or determinants_of_stacks(stacks, b))
     for name in ("main", "cor_nice", "amgm", "rank_bound", "caporossi", "mcclelland_upper"):
@@ -399,7 +420,7 @@ def test_table_builds_each_column_group_on_first_read(monkeypatch):
     assert table.column[bounds.GATES["conj2"]].tolist() == [True, True, False, True]
     assert table.column["walks3"].tolist() == [0.0, 0.0, 0.0, 0.0]
     table.column["slack_conj1"], table.column["is_regular"]
-    assert (solved, sorted(stacks)) == ([], [1, 1, 2])  # one _structure call per vertex count
+    assert (solved, sorted(stacks)) == ([], [1, 1, 2])  # one call per vertex count
     assert table.column["det_abs"].tolist() == [48, 1, 0, 2]
     table.column["slack_mcclelland_lower"], table.report(0)
     assert (solved, sorted(stacks)) == ([4], [1, 1, 2])

@@ -31,7 +31,6 @@ from geb.graphs import (
     is_connected,
     msb_first,
     pair_count,
-    pairs_in_order,
     path,
     petersen,
 )
@@ -325,7 +324,7 @@ def block_permutation_oracle(g):
     for labels in block_labelings(blocks):
         labels = labels.T  # labels[new] = old vertex, one column per labeling
         value = np.zeros(labels.shape[1], dtype=np.int64)
-        for i, j in pairs_in_order(n):
+        for i, j in [(i, j) for j in range(n) for i in range(j)]:  # bitset order
             value = value << 1 | flat[labels[i] * n + labels[j]]
         best = min(best, int(value.min()))
     return packed_bytes(n, best)

@@ -209,6 +209,21 @@ def test_complete_bipartite_matches_networkx_on_every_graph(n):
     assert any(is_complete_bipartite(g) for g in graphs) == (n >= 2)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structure_predicates_match_networkx_on_every_graph(n):
+    nx = pytest.importorskip("networkx")
+    from geb.enumeration import enumerate_graphs
+
+    for g in enumerate_graphs(n, connected=False):
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.edges())
+        assert degree_sequence(g) == [ref.degree(v) for v in range(n)], g
+        assert is_regular(g) == nx.is_regular(ref), g
+        assert is_connected(g) == nx.is_connected(ref), g
+        assert triangle_count(g) == sum(nx.triangles(ref).values()) // 3, g
+
+
 def test_complete_bipartite_matches_networkx_at_62_vertices():
     nx = pytest.importorskip("networkx")
     k31 = complete_bipartite(31, 31)

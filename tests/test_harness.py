@@ -395,10 +395,10 @@ def test_equality_builds_no_structure_columns(monkeypatch, bound):
     fresh = [Graph(h.n, h.adj) for h in enumerate_connected(5)]
     want = run_equality(fresh, bound=bound)
 
-    def refuse(stack, bits):
+    def refuse(stack):
         raise AssertionError("structure columns were built")
 
-    monkeypatch.setattr(bounds, "_structure", refuse)
+    monkeypatch.setattr(bounds, "structure_columns", refuse)
     assert summaries_equal(run_equality(fresh, bound=bound), want)
 
 
