@@ -22,8 +22,10 @@ row, two ``BoundReport`` fields and a README line.
 
 ``BoundTable`` evaluates a chunk of packed rows (see ``graphs``) at once,
 one numpy column per ``BoundReport`` field. One adjacency stack per vertex
-count feeds the solve, the exact determinants and ``graphs.structure_columns``
-(regularity, connectivity, triangles, and the root sum behind epsilon).
+count feeds ``spectra_of_stacks``, ``determinants_of_stacks`` and
+``graphs.structure_columns`` (regularity, connectivity, triangles, and the
+root sum behind epsilon). The solvers are read as this module's globals at
+call time, so one patch of ``bounds.*`` reaches ``bound_report`` and every command.
 Those groups, the spectrum's sums and each bound are built when first read,
 so a command pays only for what it reads. The bound functions take scalars
 and columns alike. Only ``mcclelland_lower`` runs in ``math``, once per
@@ -214,14 +216,6 @@ class BoundReport(NamedTuple):
     slack_mcclelland_upper: float
     slack_conj2: float | None
 
-    def to_dict(self) -> dict:
-        """Field-order-preserving plain dict (the CSV column order)."""
-        return self._asdict()
-
-    @classmethod
-    def csv_header(cls) -> list[str]:
-        return list(cls._fields)
-
 
 def _where(rows: np.ndarray, bound: Callable[..., np.ndarray], *args: np.ndarray) -> np.ndarray:
     """bound(*args) on ``rows``, nan elsewhere."""
@@ -237,9 +231,10 @@ def _bound_columns(row: tuple, c: dict) -> dict[str, np.ndarray]:
     return {name: bound, "slack_" + name: c["energy"] - bound if lower else bound - c["energy"]}
 
 
-def _determinant_columns(stacks: list, determinants: Callable, c: dict) -> dict[str, np.ndarray]:
+def _determinant_columns(stacks: list, c: dict) -> dict[str, np.ndarray]:
     """|det A| as Python ints: it may pass 2**63."""
-    return {"det_abs": np.array([abs(d) for d in determinants(stacks, len(c["n"]))], dtype=object)}
+    return {"det_abs": np.array([abs(d) for d in determinants_of_stacks(stacks, len(c["n"]))],
+                                dtype=object)}
 
 
 def _structure_columns(stacks: list, c: dict) -> dict[str, np.ndarray]:
@@ -298,20 +293,18 @@ class BoundTable:
     for K = 2, 3, 4, which the spectrum checks compare with the power sums of
     ``_spectrum_columns``. Gates are bool columns: where ``column[GATES[f]]``
     fails, field f holds nan, and a BoundReport None. ``values`` holds the
-    spectra from ``solve(stacks, b)``, one per row, zero-padded to the
+    spectra from ``spectra_of_stacks``, one per row, zero-padded to the
     longest. ``graph(i)`` and ``graph6(i)`` build row i's Graph and graph6
     once, when asked, and ``graph6_order()`` each row's place in graph6
     order, with no encoding.
 
-    Built when first read: ``determinants(stacks, b)``, called once at most;
+    Built when first read: ``determinants_of_stacks``, called once at most;
     ``graphs.structure_columns``, with epsilon and ``edged_connected``; the
     spectrum's sums; and each ``BOUNDS`` row's bound and slack. The rest is
     built here.
     """
 
     def __init__(self, chunk: Sequence[tuple[int, np.ndarray]],
-                 solve: Callable = spectra_of_stacks,
-                 determinants: Callable = determinants_of_stacks,
                  zero_tol: float = DEFAULT_ZERO_TOL):
         bits = [pair_bits(size, packed) for size, packed in chunk]
         counts = [len(rows) for rows in bits]
@@ -321,7 +314,7 @@ class BoundTable:
                                                      for rows in bits)])
         stacks = [(np.arange(start, start + len(rows)), pair_stack(size, rows))
                   for (size, _), start, rows in zip(chunk, starts, bits)]
-        self.values, energy = solve(stacks, len(n))
+        self.values, energy = spectra_of_stacks(stacks, len(n))
         col = spectral_columns(self.values, energy, n, zero_tol)
         edged, ranked = m >= 1, col["rank"] >= 1
         eager = col | {"n": n, "m": m, "walks2": 2.0 * m, "every": np.ones(len(n), bool),
@@ -329,7 +322,7 @@ class BoundTable:
                        "beta": _where(edged, _beta, n, m, col["lambda1"])}
         # the builders are handed the columns and hold arrays, not the table: no reference
         # cycle keeps a finished chunk's table alive until the next full collection
-        groups = {"det_abs": partial(_determinant_columns, stacks, determinants)}
+        groups = {"det_abs": partial(_determinant_columns, stacks)}
         groups |= dict.fromkeys(_STRUCTURE, partial(_structure_columns, stacks))
         groups |= dict.fromkeys(_SPECTRUM, partial(_spectrum_columns, self.values))
         groups |= {field: partial(_bound_columns, row)
@@ -356,7 +349,7 @@ class BoundTable:
     def report(self, i: int) -> BoundReport:
         """Row i as a BoundReport of Python scalars."""
         c, row = self.column, {"graph6": self.graph6(i)}
-        for name in BoundReport.csv_header()[1:]:
+        for name in BoundReport._fields[1:]:
             row[name] = c[name][i : i + 1].tolist()[0] if c[GATES.get(name, "every")][i] else None
         return BoundReport(**row)
 

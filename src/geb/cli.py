@@ -139,7 +139,7 @@ def _format_value(value) -> str:
 
 
 def _render_report(report: BoundReport, fmt: str) -> str:
-    data = report.to_dict()
+    data = report._asdict()
     if fmt == "json":
         import json
 
@@ -149,7 +149,7 @@ def _render_report(report: BoundReport, fmt: str) -> str:
 
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(BoundReport.csv_header())
+        writer.writerow(BoundReport._fields)
         writer.writerow(["" if v is None else v for v in data.values()])
         return buf.getvalue().rstrip("\n")
     width = max(len(k) for k in data)
@@ -196,7 +196,7 @@ def _print_summary(summary: CorpusSummary, violations_label: str) -> None:
     print(f"graphs seen: {summary.graphs_seen}")
     print(f"graphs skipped: {summary.graphs_skipped}")
     print(f"{violations_label}: {len(summary.violations)}")
-    for name in sorted(summary.extremes.keys() & set(BoundReport.csv_header())):  # bounds only
+    for name in sorted(summary.extremes.keys() & set(BoundReport._fields)):  # bounds only
         ext = summary.extremes[name]
         print(f"min slack {name}: {ext.slack:.12g} at {ext.graph6}")
 

@@ -30,8 +30,7 @@ import numpy as np
 from .bounds import (BOUNDS, DEFAULT_EQUALITY_EPS, DEFAULT_TOL, EQUALITY_BOUNDS,  # noqa: F401
                      GATES, BoundTable, bound_report)
 from .graphs import Graph, is_complete_bipartite, packed_groups
-from .spectral import (DEFAULT_ZERO_TOL, determinants_of_stacks, eigenvalues_batch,  # noqa: F401
-                       spectra_of_stacks, spectral_stats)
+from .spectral import DEFAULT_ZERO_TOL, eigenvalues_batch, spectral_stats  # noqa: F401
 
 _CHUNK_SIZE = 1024
 _SPECTRUM_TOL = 1e-6  # fixed: --tol moves no moment:* or spectrum:* row
@@ -173,11 +172,7 @@ def _judge(summary: CorpusSummary, table: BoundTable, names: Iterable[str], tol:
                                                 detail(table, i) if callable(detail) else detail))
 
 
-# Visitors: each takes the checks of its command on one chunk's BoundTable.
-
-def _verify(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
-    _judge(summary, table, _VERIFY, tol)
-
+# Visitors: each takes its command's checks on one chunk's BoundTable (verify's is ``_judge``).
 
 def _conjectures(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
     _judge(summary, table, _CONJECTURES, tol)
@@ -201,8 +196,7 @@ def _chunk(visit: Callable[..., None], zero_tol: float,
     through the moment:* and spectrum:* rows of ``verify``.
     """
     summary = CorpusSummary(graphs_seen=sum(len(packed) for _, packed in chunk))
-    # both solvers stay this module's globals, read here: tests patch them
-    visit(summary, BoundTable(chunk, spectra_of_stacks, determinants_of_stacks, zero_tol))
+    visit(summary, BoundTable(chunk, zero_tol))
     return summary
 
 
@@ -245,7 +239,7 @@ def run_verify(
     jobs: int = 1,
 ) -> CorpusSummary:
     """Check every proven bound and cross-bound invariant on a corpus."""
-    return _run(partial(_verify, tol=tol), graphs, zero_tol, jobs)
+    return _run(partial(_judge, names=_VERIFY, tol=tol), graphs, zero_tol, jobs)
 
 
 def run_conjectures(

@@ -265,10 +265,10 @@ def test_report_slack_arithmetic():
 
 def test_report_field_order_matches_header():
     r = bound_report(complete(3))
-    d = r.to_dict()
-    assert list(d.keys()) == BoundReport.csv_header()
+    d = r._asdict()
+    assert tuple(d.keys()) == BoundReport._fields
     assert d["graph6"] == "Bw"
-    assert BoundReport.csv_header()[0] == "graph6"
+    assert BoundReport._fields[0] == "graph6"
     assert d["n"] == 3 and d["m"] == 3
 
 
@@ -345,10 +345,9 @@ def table_order(graphs):
 def assert_rows_match_oracle(graphs, zero_tol=DEFAULT_ZERO_TOL):
     graphs = [graphs[k] for k in table_order(graphs)]
     spectra, dets = eigenvalues_batch(graphs), determinants_exact(graphs)
-    table = BoundTable(packed_groups(graphs), determinants=lambda stacks, b: dets,
-                       zero_tol=zero_tol)
+    table = BoundTable(packed_groups(graphs), zero_tol)
     for i, (g, spec, det) in enumerate(zip(graphs, spectra, dets)):
-        got, want = table.report(i).to_dict(), reference_report(g, spec, det, zero_tol).to_dict()
+        got, want = table.report(i)._asdict(), reference_report(g, spec, det, zero_tol)._asdict()
         assert got == want, g
         # the same None pattern, and Python scalars, not numpy ones
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()], g
@@ -411,8 +410,9 @@ def test_table_builds_each_column_group_on_first_read(monkeypatch):
     structure = bounds.structure_columns
     monkeypatch.setattr(bounds, "structure_columns",
                         lambda stack: stacks.append(len(stack)) or structure(stack))
-    table = BoundTable(packed_groups(graphs), determinants=lambda stacks, b: solved.append(b)
-                       or determinants_of_stacks(stacks, b))
+    monkeypatch.setattr(bounds, "determinants_of_stacks", lambda stacks, b: solved.append(b)
+                        or determinants_of_stacks(stacks, b))
+    table = BoundTable(packed_groups(graphs))
     for name in ("main", "cor_nice", "amgm", "rank_bound", "caporossi", "mcclelland_upper"):
         table.column[name], table.column["slack_" + name], table.column[bounds.GATES[name]]
     table.column["beta"], table.column[bounds.GATES["t_nz"]]

@@ -77,7 +77,7 @@ def test_verify_empty_corpus():
     assert summary.extremes == {}
 
 
-@pytest.mark.parametrize("visit", [partial(harness._verify, tol=1e-9),
+@pytest.mark.parametrize("visit", [partial(harness._judge, names=harness._VERIFY, tol=1e-9),
                                    partial(harness._conjectures, tol=1e-9),
                                    partial(harness._equality, bound="main", eps=1e-9)],
                          ids=["verify", "conjectures", "equality"])
@@ -386,7 +386,7 @@ def test_conjectures_and_main_equality_solve_no_determinant(monkeypatch, data_di
     def refuse(stacks, b):
         raise AssertionError("exact determinants were solved")
 
-    monkeypatch.setattr(harness, "determinants_of_stacks", refuse)
+    monkeypatch.setattr(bounds, "determinants_of_stacks", refuse)
     assert all(summaries_equal(run(corpus), summary) for run, summary in zip(runs, want))
 
 
@@ -407,7 +407,7 @@ def test_equality_builds_no_structure_columns(monkeypatch, bound):
 def test_determinants_are_solved_once_per_chunk(monkeypatch, data_dir, run):
     corpus = connected8(data_dir)
     solved = []
-    solve = harness.determinants_of_stacks
+    solve = bounds.determinants_of_stacks
 
     def noting(stacks, b):
         """Note the call's adjacency matrices, by row."""
@@ -418,7 +418,7 @@ def test_determinants_are_solved_once_per_chunk(monkeypatch, data_dir, run):
         solved.append(matrices)
         return solve(stacks, b)
 
-    monkeypatch.setattr(harness, "determinants_of_stacks", noting)
+    monkeypatch.setattr(bounds, "determinants_of_stacks", noting)
     run(corpus)
     matrices = [matrix.tobytes() for matrix in adjacency_stack(8, [g.adj for g in corpus])]
     assert solved == [matrices[k : k + 1024] for k in range(0, len(corpus), 1024)]
@@ -478,8 +478,8 @@ def rows_of(stacks, g):
 def test_in_chunk_ties_go_to_the_smaller_graph6(monkeypatch):
     # two labelings of K_{1,3} given one identical spectrum tie on every slack
     stars = [from_edge_list(4, [(c, v) for v in range(4) if v != c]) for c in (0, 3)]
-    values, energy = harness.spectra_of_stacks(stacks_by_n([4], [stars[0].adj]), 1)
-    monkeypatch.setattr(harness, "spectra_of_stacks",
+    values, energy = bounds.spectra_of_stacks(stacks_by_n([4], [stars[0].adj]), 1)
+    monkeypatch.setattr(bounds, "spectra_of_stacks",
                         lambda stacks, b: (values.repeat(b, axis=0), energy.repeat(b)))
     names = sorted(write_graph6(g) for g in stars)
     assert names[0] != names[1]
@@ -491,7 +491,7 @@ def test_in_chunk_ties_go_to_the_smaller_graph6(monkeypatch):
 
 
 def test_moment_rows_flag_a_perturbed_eigenvalue(monkeypatch):
-    solve = harness.spectra_of_stacks
+    solve = bounds.spectra_of_stacks
     c5 = write_graph6(cycle(5))
 
     def perturbed(stacks, b):
@@ -501,7 +501,7 @@ def test_moment_rows_flag_a_perturbed_eigenvalue(monkeypatch):
             values[i, 0] += 1e-4
         return values, energy
 
-    monkeypatch.setattr(harness, "spectra_of_stacks", perturbed)
+    monkeypatch.setattr(bounds, "spectra_of_stacks", perturbed)
     summary = run_verify([path(4), cycle(5), petersen(), complete_bipartite(2, 3)])
     assert {v.graph6 for v in summary.violations} == {c5}
     moments = [(v.graph6, v.bound_name) for v in summary.violations
@@ -521,16 +521,19 @@ def spectrum_rows(summary):
     (-0.5, ["spectrum:energy"]),  # and below it
 ])
 def test_energy_row_violations_are_reported(monkeypatch, shift, names):
-    """A shifted energy trips the energy row and no other spectrum row."""
-    solve = harness.spectra_of_stacks
+    """A shifted energy trips the energy row and no other spectrum row, and the one patch
+    of ``bounds.spectra_of_stacks`` reaches ``bound_report`` too."""
+    solve = bounds.spectra_of_stacks
+    energy = bound_report(path(4)).energy
 
     def shifted(stacks, b):
         values, energy = solve(stacks, b)
         return values, energy + shift
 
-    monkeypatch.setattr(harness, "spectra_of_stacks", shifted)
+    monkeypatch.setattr(bounds, "spectra_of_stacks", shifted)
     summary = run_verify([path(4)])
     assert [name for _, name in spectrum_rows(summary)] == names
+    assert bound_report(path(4)).energy == energy + shift
 
 
 def reference_energy_rows(spec):
@@ -548,7 +551,7 @@ def test_energy_rows_match_the_reference_sum(monkeypatch, g, shift):
     """The energy row fires, with its values, exactly where a direct sum of the spectrum says."""
     spec = harness.eigenvalues_batch([g])[0]
     spec = Spectrum(spec.values, spec.energy + shift)
-    monkeypatch.setattr(harness, "spectra_of_stacks",
+    monkeypatch.setattr(bounds, "spectra_of_stacks",
                         lambda stacks, b: (np.array([spec.values]), np.array([spec.energy])))
     summary = run_verify([g])
     got = [(v.bound_name, repr(v.bound_value), repr(v.energy), v.detail)
@@ -558,7 +561,7 @@ def test_energy_rows_match_the_reference_sum(monkeypatch, g, shift):
 
 
 def test_perron_breach_costs_one_graph(monkeypatch):
-    solve = harness.spectra_of_stacks
+    solve = bounds.spectra_of_stacks
 
     def breached(stacks, b):
         """path(4) gets a smallest eigenvalue just past -lambda1."""
@@ -570,7 +573,7 @@ def test_perron_breach_costs_one_graph(monkeypatch):
             energy[i] = sum(sorted((abs(v) for v in row), reverse=True))
         return values, energy
 
-    monkeypatch.setattr(harness, "spectra_of_stacks", breached)
+    monkeypatch.setattr(bounds, "spectra_of_stacks", breached)
     summary = run_verify([path(4), cycle(5)])
     assert summary.graphs_seen == 2
     assert spectrum_rows(summary) == [(write_graph6(path(4)), "spectrum:perron")]
