@@ -9,7 +9,10 @@ Each mutant changes one thing in one function of a target module:
 - a slice bound, or a start or stop of ``range``/``arange``, moved by +-1.
 
 The mutant runs the target's own tests with ``-x`` first and, if they pass, the
-whole tier-1 suite. A mutant that passes both is a survivor. Each survivor must
+whole tier-1 suite. Each run may take ``LIMIT`` times as long as the same command
+takes on the unmutated code, timed once at the start; a run that passes that limit,
+such as a loop that never ends, kills its mutant. A mutant that passes both runs
+is a survivor. Each survivor must
 be listed in ``equivalent_mutants.txt`` beside this script, with the reason it
 behaves like the original; the script exits 1 on a survivor that is not.
 
@@ -46,12 +49,16 @@ TARGETS = {
                                      "_epsilon", "_beta", "_where", "_bound_columns",
                                      "_structure_columns"),
                ("tests/test_bounds.py",), ()),
+    "harness": ("src/geb/harness.py", ("_margin", "_judge", "_conjectures", "_equality"),
+                ("tests/test_harness.py",), ()),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--hypothesis-seed=0"]
 TIER1 = ["--continue-on-collection-errors"]
-TIMEOUT = 300  # seconds, about 6x a tier-1 run; a mutant that loops forever counts as killed
+# a run's time limit, as a multiple of the same command's unmutated time: room for a busy
+# host and a slower equivalent mutant, while a mutant that loops forever costs seconds
+LIMIT = 5
 
 FLIPS = {ast.Lt: (ast.LtE, ast.GtE), ast.LtE: (ast.Lt, ast.Gt), ast.Gt: (ast.GtE, ast.LtE),
          ast.GtE: (ast.Gt, ast.Lt), ast.Eq: (ast.NotEq,), ast.NotEq: (ast.Eq,),
@@ -167,13 +174,19 @@ def _equivalent() -> dict[str, str]:
     return listed
 
 
-def _passes(workdir: Path, args: list[str]) -> bool:
+def _passes(workdir: Path, args: list[str], limit: float | None = None) -> bool:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     try:
         return subprocess.run(PYTEST + args, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode == 0
+                              stderr=subprocess.DEVNULL, timeout=limit).returncode == 0
     except subprocess.TimeoutExpired:
         return False
+
+
+def _limit(workdir: Path, args: list[str]) -> float | None:
+    """``LIMIT`` times the seconds an unmutated run of args takes; None if it fails."""
+    start = time.perf_counter()
+    return LIMIT * (time.perf_counter() - start) if _passes(workdir, args) else None
 
 
 def main() -> int:
@@ -182,17 +195,24 @@ def main() -> int:
         workdir = Path(tmp) / "repo"
         shutil.copytree(ROOT, workdir, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+        tier1 = _limit(workdir, TIER1)
+        if tier1 is None:
+            print("tier-1 fails before any mutation", file=sys.stderr)
+            return 2
         for target, (path, _functions, tests, _constants) in TARGETS.items():
             original = (workdir / path).read_bytes()
-            if not _passes(workdir, list(tests)):
+            subset = _limit(workdir, list(tests))
+            if subset is None:
                 print(f"{target}: its tests fail before any mutation", file=sys.stderr)
                 return 2
+            print(f"{target}: limits {subset:.0f} s for its tests, {tier1:.0f} s for tier-1",
+                  flush=True)
             for name, mutated in mutants(target):
                 (workdir / path).write_bytes(mutated)
                 start = time.perf_counter()
-                if not _passes(workdir, list(tests)):
+                if not _passes(workdir, list(tests), subset):
                     verdicts[name] = "subset"
-                elif not _passes(workdir, TIER1):
+                elif not _passes(workdir, TIER1, tier1):
                     verdicts[name] = "tier-1"
                 else:
                     verdicts[name] = "listed" if name in listed else "SURVIVED"
