@@ -12,9 +12,9 @@ The mutant runs the target's own tests with ``-x`` first and, if they pass, the
 whole tier-1 suite. Each run may take ``LIMIT`` times as long as the same command
 takes on the unmutated code, timed once at the start; a run that passes that limit,
 such as a loop that never ends, kills its mutant. A mutant that passes both runs
-is a survivor. Each survivor must
-be listed in ``equivalent_mutants.txt`` beside this script, with the reason it
-behaves like the original; the script exits 1 on a survivor that is not.
+is a survivor. Each survivor must be listed in ``equivalent_mutants.txt`` beside
+this script, with the reason it behaves like the original; the script exits 1 on
+a survivor that is not.
 
 Usage: ``python scripts/mutants.py`` from the repository root; it runs every
 row of ``TARGETS``. The mutants are run in a copy of the repository under
