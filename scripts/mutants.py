@@ -49,6 +49,10 @@ TARGETS = {
                                      "_epsilon", "_beta", "_where", "_bound_columns",
                                      "_structure_columns"),
                ("tests/test_bounds.py",), ()),
+    "spectral": ("src/geb/spectral.py", ("_tridiagonal_eigenvalues_stack", "_tridiagonal",
+                                         "_bisection_buffers", "_bisect", "spectra_of_stacks",
+                                         "_reduced"),
+                 ("tests/test_spectral.py",), ()),
     "harness": ("src/geb/harness.py", ("_margin", "_judge", "_conjectures", "_equality"),
                 ("tests/test_harness.py",), ()),
 }

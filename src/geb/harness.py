@@ -176,7 +176,8 @@ def _judge(summary: CorpusSummary, table: BoundTable, names: Iterable[str], tol:
 
 def _conjectures(summary: CorpusSummary, table: BoundTable, tol: float) -> None:
     _judge(summary, table, _CONJECTURES, tol)
-    summary.graphs_skipped += int(np.count_nonzero(~table.column[GATES[_CONJECTURES[0]]]))
+    admitted = np.logical_or.reduce([table.column[GATES[name]] for name in _CONJECTURES])
+    summary.graphs_skipped += int(np.count_nonzero(~admitted))  # by every conjecture's gate
 
 
 def _equality(summary: CorpusSummary, table: BoundTable, bound: str, eps: float) -> None:

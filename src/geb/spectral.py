@@ -1,15 +1,16 @@
 """Adjacency eigenvalues, derived spectral scalars, and exact integer checks.
 
 Everything here runs on the stacks of same-size 0/1 matrices that
-``graphs.stacks_by_n`` yields, one per vertex count. The eigensolver reduces a
-stack to tridiagonal form by Householder reflections, then bisects all its
-eigenvalues together on Sturm counts (Barth, Martin & Wilkinson 1967), batch
-last so that each numpy step runs along the batch, in numpy's pairwise
-summation order. It always terminates, and no eigenvalue depends on the
-batch. ``spectra_of_stacks`` returns a zero-padded (b, n_max) array of
-descending values and an energy column; ``spectral_columns`` derives the
-SpectralStats fields from them as columns. ``eigenvalues_batch`` and
-``spectral_stats`` wrap both for Graphs and Spectrum objects.
+``graphs.stacks_by_n`` yields, one per vertex count. The eigensolver reduces
+each stack to tridiagonal form by Householder reflections, then bisects the
+eigenvalues of every stack together on Sturm counts (Barth, Martin & Wilkinson
+1967), batch last so that each numpy step runs along the batch, in numpy's
+pairwise summation order. It always terminates, and no eigenvalue depends on
+the batch or on the other stacks. ``spectra_of_stacks`` returns a zero-padded
+(b, n_max) array of descending values and an energy column;
+``spectral_columns`` derives the SpectralStats fields from them as columns.
+``eigenvalues_batch`` and ``spectral_stats`` wrap both for Graphs and Spectrum
+objects.
 
 Every float64 working buffer of the solver and of the determinants starts on
 a 64-byte cache line (``_aligned_planes``). numpy leaves that to the
@@ -29,6 +30,7 @@ echelon over Python ints, is called by tests only, against the float rank.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -137,72 +139,125 @@ def _reduce_to_tridiagonal(a: np.ndarray) -> None:
 def _tridiagonal_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of an (n, n, b) batch-last stack of symmetric matrices, as (b, n), unsorted.
 
-    ``_reduce_to_tridiagonal`` leaves each matrix's tridiagonal form in ``a``;
-    then all b*n eigenvalues are bisected together on LDL^T Sturm counts, as
-    LAPACK ``dstebz`` does. The bisection lays d, e^2 and the per-matrix
-    scalars out once in the (n, b) shape of the intervals, so that each numpy
-    step runs over contiguous operands of one shape; each element sees the
-    same IEEE operations, in the same order, as in a loop with the batch first.
-    A matrix with an edge takes 53 or 54 steps, as r rounds. Each step's
-    bookkeeping runs in place, on buffers allocated once: the counts decide
-    which end of each unconverged interval takes mid, and one branch-free
-    select on the int64 bits of both ends, held as one (2, n, b) view, moves
-    them. The select's bits reuse the row loop's q and t, which are free then.
-    Every float64 (n, b) buffer of the bisection is a plane of one block and
-    starts on a 64-byte cache line; numpy's own buffers need not, and an
-    offset costs the row loop (see the module docstring).
+    ``_reduce_to_tridiagonal`` leaves each matrix's tridiagonal form in ``a``,
+    and ``_bisect`` solves it as its one group.
     """
-    n, _, b = a.shape
     _reduce_to_tridiagonal(a)
-    idx = np.arange(n)
-    # no row step broadcasts: row i of d and e2 is repeated over the n
-    # intervals as an (n, b) plane, and so is each per-matrix scalar
-    planes = _aligned_planes(2 * n + 8, (n, b))
-    rows = planes[: 2 * n]
-    ends = planes[2 * n : 2 * n + 2]  # lo and hi of every interval
-    scratch = planes[2 * n + 2 : 2 * n + 4]  # q and t in the row loop, the blend's bits after it
-    mid, pivmin, clamp, tol = planes[2 * n + 4 :]
+    return _bisect([_tridiagonal(a)])[0]
+
+
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, b) diagonal and (n - 1, b) subdiagonal that ``_reduce_to_tridiagonal`` left in ``a``."""
+    return a.diagonal(0, 0, 1).T, a.diagonal(-1, 0, 1).T
+
+
+def _bisection_buffers(prefix: list[int], total: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``_bisect``'s float64 buffers: rows of d, then of e2, sized by ``prefix``, and 8 planes.
+
+    The planes, of ``total`` elements each, are returned as one (8, total) view.
+    All are carved from one ``_aligned_planes`` block in that order, each from
+    the cache line after the previous one's end. With every K_i = total, this
+    is the layout of ``_aligned_planes(2 * len(prefix) + 8, (total,))``.
+    """
+    sizes = prefix * 2
+    pitches = [-(-k // 8) * 8 for k in sizes]  # elements per row, whole lines
+    pitch = -(-total // 8) * 8
+    (block,) = _aligned_planes(1, (sum(pitches) + 8 * pitch,))
+    rows, at = [], 0
+    for k, step in zip(sizes, pitches):
+        rows.append(block[at : at + k])
+        at += step
+    return rows, block[at:].reshape(8, pitch)[:, :total]
+
+
+def _bisect(groups: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Eigenvalues of groups of symmetric tridiagonals, each group's as (b, n), unsorted.
+
+    A group is the (n, b) diagonals d and (n - 1, b) subdiagonals e of b
+    matrices with n rows. All their eigenvalues, in every group, are bisected
+    together on LDL^T Sturm counts, as LAPACK ``dstebz`` does. The intervals
+    lie in one flat set of per-interval planes, group after group by
+    descending n (stably), each group's in its (n, b) shape; row i of d and
+    e^2 holds, for each of the first K_i intervals (those whose matrix has
+    more than i rows), its matrix's row i, so row i's calls run on K_i-prefix
+    views of the planes, made once. Each element sees the same IEEE
+    operations, in the same order, as in a loop with the batch first, and a
+    step makes 8 calls per row of the largest matrix, however many groups
+    there are. A matrix with an edge takes 53 or 54 steps, as r rounds. Each
+    step's bookkeeping runs in place, on buffers allocated once: the counts
+    decide which end of each unconverged interval takes mid, and one
+    branch-free select on the int64 bits of both ends, held as one (2, K_0)
+    view, moves them. The select's bits reuse the row loop's q and t, which
+    are free then. Every float64 row and plane is carved from one block and
+    starts on a 64-byte cache line; numpy's own buffers need not, and an
+    offset costs the row loop (see the module docstring). With one group,
+    every K_i is K_0 and each row is a plane.
+    """
+    if not groups:
+        return []
+    order = sorted(range(len(groups)), key=lambda k: groups[k][0].shape[0], reverse=True)
+    shapes = [groups[k][0].shape for k in order]
+    starts = np.cumsum([0] + [n * b for n, b in shapes]).tolist()
+    n_max, total = shapes[0][0], starts[-1]
+    # K_i, a prefix of the intervals: the groups are sorted by descending n
+    prefix = [sum(n * b for n, b in shapes if n > i) for i in range(n_max)]
+    rows, planes = _bisection_buffers(prefix, total)
+    ends = planes[:2]  # lo and hi of every interval
+    scratch = planes[2:4]  # q and t in the row loop, the blend's bits after it
+    mid, pivmin, clamp, tol = planes[4:]
     lo, hi = ends
     q, t = scratch
-    d = a.diagonal(0, 0, 1).T  # (n, b) views of a's tridiagonal form
-    e = a.diagonal(-1, 0, 1).T
-    rows[:n] = d[:, None]
-    rows[n] = 0.0  # e2[i] = e_{i-1}^2, with e_{-1} = 0
-    np.square(e[:, None], out=rows[n + 1 :])
-    e2max = rows[n:, 0].max(axis=0)
-    # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
-    r = np.abs(d).max(axis=0) + 2.0 * np.sqrt(e2max)
-    hi[...] = r
+    d, e2 = rows[:n_max], rows[n_max:]
+    rank = np.empty(total, dtype=_COUNT)
+    # no row step broadcasts: each matrix's row i of d and e2 is repeated over
+    # its n intervals, and so is each per-matrix scalar. e2[i] = e_{i-1}^2; row
+    # 0 of e2 is never read, as e_{-1} = 0
+    for (diag, sub), start, (n, b) in zip((groups[k] for k in order), starts, shapes):
+        def span(x: np.ndarray) -> np.ndarray:  # the group's (n, b) part of a row or plane
+            return x[start : start + n * b].reshape(n, b)
+        for i in range(n):
+            span(d[i])[...] = diag[i]
+            if i:
+                np.square(sub[i - 1], out=span(e2[i]))
+        e2max = np.max(np.square(sub), axis=0, initial=0.0)
+        # Gershgorin: every eigenvalue lies in [-r, r]; an edgeless graph has r = 0
+        r = np.abs(diag).max(axis=0) + 2.0 * np.sqrt(e2max)
+        span(hi)[...] = r
+        span(pivmin)[...] = np.finfo(float).tiny * np.maximum(1.0, e2max)
+        span(tol)[...] = np.finfo(float).eps * np.maximum(1.0, r)
+        span(rank)[...] = np.arange(n)[:, None]
     np.negative(hi, out=lo)
-    pivmin[...] = np.finfo(float).tiny * np.maximum(1.0, e2max)
     np.negative(pivmin, out=clamp)  # what a q with |q| < pivmin becomes
-    tol[...] = np.finfo(float).eps * np.maximum(1.0, r)
-    # as lists of (n, b) rows: a list index costs less than an array index
-    d, e2 = list(rows[:n]), list(rows[n:])
-    rank = np.broadcast_to(idx[:, None], hi.shape).astype(_COUNT)
-    small, active = (np.empty(hi.shape, dtype=bool) for _ in range(2))
+    small, active = (np.empty(total, dtype=bool) for _ in range(2))
     below = small.view(_COUNT)  # small's bytes, as counts
     move = np.empty(ends.shape, dtype=bool)  # which of lo and hi take mid
     lower, upper = move
-    count = np.empty(hi.shape, dtype=_COUNT)  # eigenvalues below mid
+    count = np.empty(total, dtype=_COUNT)  # eigenvalues below mid
     bits, mid_bits, blend = (x.view(np.int64) for x in (ends, mid, scratch))
+    # rows 1 to n_max - 1, in runs of one K_i, each with its prefix views
+    runs = [(list(run), [x[:k] for x in (mid, q, t, pivmin, clamp, small, below, count)])
+            for k, run in groupby(range(1, n_max), prefix.__getitem__)]
     np.greater(np.subtract(hi, lo, out=t), tol, out=active)
     while True:
         np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)  # mid = 0.5 * (lo + hi)
         if not active.any():
-            return mid.T
-        np.subtract(d[0], mid, out=q)  # q_0: e2_0 / q_{-1} is 0.0 / 1.0, x - 0.0 is x, -0.0 too
-        for i in range(n):
-            if i:  # q_i = (d_i - mid) - e2_i / q_{i-1}
-                np.subtract(np.subtract(d[i], mid, out=t), np.divide(e2[i], q, out=q), out=q)
-            np.less(np.abs(q, out=t), pivmin, out=small)
-            np.copyto(q, clamp, where=small)
-            if i:
-                np.less(q, 0.0, out=small)
-                count += below
-            else:  # the count starts from row 0's signs
-                np.less(q, 0.0, out=count.view(bool))
-        # row j holds the eigenvalue with j others below it; converged
+            return [mid[start : start + n * b].reshape(n, b).T
+                    for _, start, (n, b) in sorted(zip(order, starts, shapes))]
+        # q_0: e2_0 / q_{-1} is 0.0 / 1.0, x - 0.0 is x, -0.0 too; the count
+        # starts from row 0's signs
+        np.subtract(d[0], mid, out=q)
+        np.less(np.abs(q, out=t), pivmin, out=small)
+        np.copyto(q, clamp, where=small)
+        np.less(q, 0.0, out=count.view(bool))
+        for run, (mid_k, q_k, t_k, pivmin_k, clamp_k, small_k, below_k, count_k) in runs:
+            for i in run:  # q_i = (d_i - mid) - e2_i / q_{i-1}
+                np.subtract(np.subtract(d[i], mid_k, out=t_k), np.divide(e2[i], q_k, out=q_k),
+                            out=q_k)
+                np.less(np.abs(q_k, out=t_k), pivmin_k, out=small_k)
+                np.copyto(q_k, clamp_k, where=small_k)
+                np.less(q_k, 0.0, out=small_k)
+                count_k += below_k
+        # row j of a group holds the eigenvalue with j others below it; converged
         # intervals stay frozen, so no result depends on its batch
         np.greater(count, rank, out=upper)
         upper &= active  # hi takes mid
@@ -219,17 +274,27 @@ def spectra_of_stacks(stacks: Iterable[tuple], b: int) -> tuple[np.ndarray, np.n
 
     Row i of the (b, n_max) values holds graph i's eigenvalues, descending,
     then zeros. The energy adds the absolute eigenvalues largest first. Each
-    group is one kernel call, on a batch-last float copy of its stack; ``map``
-    keeps no stack, so one that only ``stacks`` yielded is freed before it.
+    group is reduced on its own, on a batch-last float copy of its stack that
+    is freed once its tridiagonal form is copied out; ``map`` keeps no stack,
+    so one that only ``stacks`` yielded is freed before it. Then one
+    ``_bisect`` solves every group.
     """
-    solved = [(rows, -np.sort(-_tridiagonal_eigenvalues_stack(a), axis=1))
-              for rows, a in map(_float_batch_last, stacks)]
-    values = np.zeros((b, max((diags.shape[1] for _, diags in solved), default=1)))
+    groups = list(map(_reduced, stacks))
+    solved = _bisect([tridiagonal for _, tridiagonal in groups])
+    values = np.zeros((b, max((x.shape[1] for x in solved), default=1)))
     energy = np.zeros(b)
-    for rows, diags in solved:
+    for (rows, _), unsorted in zip(groups, solved):
+        diags = -np.sort(-unsorted, axis=1)
         values[rows, : diags.shape[1]] = diags
         energy[rows] = sequential_sum(-np.sort(-np.abs(diags), axis=1))
     return values, energy
+
+
+def _reduced(group: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """A group's rows and its stack's tridiagonal form, copied: the float stack is freed here."""
+    rows, a = _float_batch_last(group)
+    _reduce_to_tridiagonal(a)
+    return rows, tuple(x.copy() for x in _tridiagonal(a))
 
 
 def _float_batch_last(group: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -148,6 +148,16 @@ def test_conjectures_gate_disconnected_and_edgeless():
     assert summary.violations == []
 
 
+def test_conjectures_skip_the_graphs_that_no_gate_admits(monkeypatch):
+    # with conj2 gated on edges alone, it admits the disconnected graph with
+    # edges that conj1's gate refuses: only the edgeless graph is skipped
+    monkeypatch.setitem(bounds.GATES, "conj2", "edged")
+    graphs = [from_edge_list(4, [(0, 1), (2, 3)]), complete(3), Graph(1, 0)]
+    summary = run_conjectures(graphs)
+    assert summary.graphs_seen == 3
+    assert summary.graphs_skipped == 1
+
+
 def test_conjecture_violations_carry_spectrum_detail():
     summary = run_conjectures([complete(3)], tol=-1.0)
     assert summary.violations

@@ -280,6 +280,7 @@ def assert_bisection_matches_oracle(stack):
     e2[:, 1:] = e**2
     assert ours.shape == d.shape
     assert ours.tobytes() == row_major_bisection(d, e2).tobytes()
+    return ours
 
 
 def test_mixed_batch_matches_solo_solves_and_the_row_major_loop():
@@ -294,6 +295,23 @@ def test_mixed_batch_matches_solo_solves_and_the_row_major_loop():
     for row, m in zip(batch, mats):
         assert row.tobytes() == geb.spectral._tridiagonal_eigenvalues_stack(m[..., None].copy())[0].tobytes()
     assert batch[0].tobytes() == batch[-1].tobytes() == np.zeros(n).tobytes()
+    # the same stack as one group of a mixed chunk: every n = 1..62 (n = 1 and
+    # edgeless matrices among them), two groups with n = 10, in shuffled order
+    rng = random.Random(35)
+    groups = [stack, *(adjacency_stack(k, [0, rng.getrandbits(pair_count(k)),
+                                               (1 << pair_count(k)) - 1])
+                       for k in range(1, 63))]
+    rng.shuffle(groups)
+    tridiagonals = []
+    for group in groups:
+        a = np.ascontiguousarray(group.transpose(1, 2, 0), dtype=float)
+        geb.spectral._reduce_to_tridiagonal(a)
+        tridiagonals.append(geb.spectral._tridiagonal(a))
+    merged = geb.spectral._bisect(tridiagonals)
+    assert len(merged) == len(groups)
+    for group, rows in zip(groups, merged):
+        solo = assert_bisection_matches_oracle(group)
+        assert rows.shape == solo.shape and rows.tobytes() == solo.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 62])
@@ -720,6 +738,25 @@ def test_kernels_peak_memory_at_the_corpus8_chunk_shape(data_dir):
         assert peak <= bound * stack.nbytes, (kernel.__name__, peak / stack.nbytes)
 
 
+def test_spectra_peak_memory_at_the_gnp_dense_chunk_shape():
+    # a gnp_dense chunk: 512 graphs at n = 10, 256 at 20, 64 at 40 and 32 at 62. One
+    # bisection holds every group's rows of d and e2, about twice the chunk's float
+    # stack; the peak measured with that layout was 2.58 stacks
+    rng = random.Random(62)
+    graphs = [Graph(n, rng.getrandbits(pair_count(n)))
+              for n, count in ((10, 512), (20, 256), (40, 64), (62, 32)) for _ in range(count)]
+    rng.shuffle(graphs)
+    stacks = list(stacks_by_n([g.n for g in graphs], [g.adj for g in graphs]))
+    stack_bytes = sum(stack.shape[0] * stack.shape[1] ** 2 for _, stack in stacks) * 8
+    tracemalloc.start()
+    try:
+        spectra_of_stacks(stacks, len(graphs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * stack_bytes, peak / stack_bytes
+
+
 def at_offset(x, offset):
     """A copy of ``x`` whose buffer starts ``offset`` bytes past a 64-byte line."""
     raw = np.empty(x.nbytes + 64, dtype=np.uint8)
@@ -811,6 +848,24 @@ def test_aligned_planes_start_on_cache_lines_and_never_overlap(n, b):
         assert all((plane == k).all() for k, plane in enumerate(planes))
     _, copy = geb.spectral._float_batch_last((np.arange(b), adjacency_stack(n, [0] * b)))
     assert copy.shape == (n, n, b) and copy.ctypes.data % 64 == 0 and copy.flags.c_contiguous
+
+
+# the bisection's K_i: one group of 883 matrices with n = 8, the gnp_dense chunk, n = 1
+GNP_DENSE_PREFIX = [14784] * 10 + [9664] * 10 + [4544] * 20 + [1984] * 22
+
+
+@pytest.mark.parametrize("prefix,total", [([7064] * 8, 7064), (GNP_DENSE_PREFIX, 14784), ([1], 1)])
+def test_bisection_rows_are_packed_on_cache_lines(prefix, total):
+    rows, planes = geb.spectral._bisection_buffers(prefix, total)
+    assert [len(row) for row in rows] == prefix * 2 and planes.shape == (8, total)
+    buffers = [*rows, *planes]
+    for k, (buffer, after) in enumerate(zip(buffers, buffers[1:] + [None])):
+        assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
+        assert buffer.ctypes.data % 64 == 0
+        if after is not None:  # the next buffer starts on the line after this one's end
+            assert after.ctypes.data - buffer.ctypes.data == -(-buffer.size // 8) * 64, k
+        buffer.fill(k)
+    assert all((buffer == k).all() for k, buffer in enumerate(buffers))
 
 
 @pytest.mark.parametrize(
